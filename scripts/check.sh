@@ -71,7 +71,7 @@ SPECINFER_BENCH_TOKENS=8 \
 # Daemon smoke: specinferd + three real client processes over the
 # shared-memory plane, one killed mid-stream. Asserts the lease
 # reap, survivors token-identical to the in-process oracle, a clean
-# drain with no leaked segments, record replay, and the pinned
+# drain with no leaked segments, journal replay, and the pinned
 # ipc_*/daemon_* metric catalog (the script runs obs_check itself).
 ./scripts/daemon_smoke.sh
 
@@ -116,6 +116,12 @@ cmake --build --preset asan --target test_tensor test_model
 cmake --build --preset asan --target test_parallel
 ./build-asan/tests/test_parallel
 ./build-asan/tests/test_model --gtest_filter='Sharded*'
+
+# Decoder fuzzing under ASan/UBSan: seeded CRC-valid hostile
+# payloads (huge lengths, out-of-range enums, truncation, bit flips)
+# against the journal payload parser and the wire decoder.
+cmake --build --preset asan --target test_ipc
+./build-asan/tests/test_ipc --gtest_filter='DecoderFuzz*'
 
 # Crash-recovery oracle under ASan/UBSan: seeded workloads crashed
 # at random points (torn journal records included) must recover to

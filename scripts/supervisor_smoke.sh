@@ -14,6 +14,8 @@
 #   4. SIGTERM drains gracefully: supervisor exit 0, no leaked
 #      shared-memory segments, and the exported supervisor_* metric
 #      catalog shows >= 2 restarts and zero give-ups.
+#   5. The journal, appended to by every incarnation, replays
+#      token-identically offline (diffcheck --replay-journal).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -118,6 +120,10 @@ leftover=$(ls "$IPCDIR" | grep -c '^specinferd' || true)
     ls -l "$IPCDIR"; exit 1
 }
 
+# One journal spans every crashed incarnation and re-drives offline
+# to the same tokens.
+"$BUILD/tools/diffcheck" --replay-journal "$WORK/serve.wal"
+
 # Pinned supervisor metric catalog.
 "$BUILD/tools/obs_check" --metrics "$WORK/supervisor.prom" \
     --require-metric supervisor_restarts,supervisor_crashes,supervisor_wedge_kills,supervisor_giveups
@@ -125,4 +131,5 @@ leftover=$(ls "$IPCDIR" | grep -c '^specinferd' || true)
 restarts=$(awk '$1 == "supervisor_restarts" { print $2 }' \
     "$WORK/supervisor.prom")
 echo "supervisor_smoke: OK ($restarts crash/recover cycles,"
-echo "streams oracle-identical, drained clean, catalog pinned)"
+echo "streams oracle-identical, drained clean, journal replayed,"
+echo "catalog pinned)"

@@ -322,6 +322,13 @@ class SpecEngine
     const EngineConfig &config() const { return cfg_; }
     const model::Transformer &llm() const { return *llm_; }
 
+    /** The SSM pool (empty in incremental mode). */
+    std::vector<const model::Transformer *> ssms() const
+    {
+        return speculator_ ? speculator_->ssms()
+                           : std::vector<const model::Transformer *>{};
+    }
+
     /** Maximum speculated nodes a merged token tree can hold (the
      *  per-iteration KV headroom a request needs beyond its
      *  sequence). */

@@ -101,6 +101,10 @@ class Speculator
                SpeculatorConfig cfg);
 
     size_t ssmCount() const { return ssms_.size(); }
+    const std::vector<const model::Transformer *> &ssms() const
+    {
+        return ssms_;
+    }
     const SpeculatorConfig &config() const { return cfg_; }
 
     /** Create per-request SSM caches (one per pool member). */

@@ -328,14 +328,23 @@ Client::poll()
 ClientStatus
 Client::waitConnected(size_t max_polls)
 {
-    for (size_t i = 0; i < max_polls; ++i) {
+    for (size_t i = 0, attempt = 0; i < max_polls; ++i, ++attempt) {
         const ClientStatus status = poll();
         if (connected_)
             return ClientStatus::Ok;
         if (status == ClientStatus::DaemonGone ||
             status == ClientStatus::Corrupt)
             return status;
-        backoffSleep(i);
+        if (status == ClientStatus::LeaseRevoked) {
+            // Reaped mid-handshake: the backoff outgrew the lease
+            // while the daemon restarted. Start over on a fresh
+            // channel with the backoff reset.
+            const ClientStatus again = reconnect();
+            if (again != ClientStatus::Pending)
+                return again;
+            attempt = 0;
+        }
+        backoffSleep(attempt);
     }
     return lastStatus_ = ClientStatus::Timeout;
 }

@@ -161,7 +161,8 @@ class Client
      */
     ClientStatus poll();
 
-    /** Poll until connected or `max_polls` exhausted (Timeout). */
+    /** Poll until connected or `max_polls` exhausted (Timeout); a
+     *  lease revoked mid-handshake reconnects on a fresh channel. */
     ClientStatus waitConnected(size_t max_polls);
 
     /** Queue a request; returns the local tag. */

@@ -1,36 +1,11 @@
 #include "ipc/wire.h"
 
-#include <cstring>
-
 #include "obs/obs.h"
+#include "util/bytes.h"
 #include "util/fault.h"
 
 namespace specinfer {
 namespace ipc {
-
-namespace {
-
-template <typename T>
-void
-put(std::vector<uint8_t> &out, T value)
-{
-    const size_t at = out.size();
-    out.resize(at + sizeof(T));
-    std::memcpy(out.data() + at, &value, sizeof(T));
-}
-
-template <typename T>
-bool
-take(const std::vector<uint8_t> &in, size_t *pos, T *value)
-{
-    if (in.size() - *pos < sizeof(T))
-        return false;
-    std::memcpy(value, in.data() + *pos, sizeof(T));
-    *pos += sizeof(T);
-    return true;
-}
-
-} // namespace
 
 const char *
 msgTypeName(MsgType type)
@@ -69,60 +44,52 @@ wireRejectName(WireReject reason)
 std::vector<uint8_t>
 encodeMessage(const Message &msg)
 {
-    std::vector<uint8_t> out;
-    out.reserve(64 + msg.tokens.size() * sizeof(int));
-    put<uint32_t>(out, kWireVersion);
-    put<uint8_t>(out, static_cast<uint8_t>(msg.type));
-    put<uint64_t>(out, msg.id);
-    put<uint64_t>(out, msg.tag);
-    put<uint64_t>(out, msg.start);
-    put<uint64_t>(out, msg.epoch);
-    put<uint64_t>(out, msg.leaseTicks);
-    put<uint64_t>(out, msg.maxNewTokens);
-    put<uint8_t>(out, static_cast<uint8_t>(msg.reject));
-    put<uint8_t>(out, msg.stopReason);
-    put<uint8_t>(out, msg.priority);
-    put<uint64_t>(out, msg.retryAfterPolls);
-    put<uint32_t>(out, static_cast<uint32_t>(msg.tokens.size()));
-    for (int tok : msg.tokens)
-        put<int32_t>(out, tok);
-    return out;
+    util::ByteWriter w;
+    w.pod<uint32_t>(kWireVersion);
+    w.pod<uint8_t>(static_cast<uint8_t>(msg.type));
+    w.pod<uint64_t>(msg.id);
+    w.pod<uint64_t>(msg.tag);
+    w.pod<uint64_t>(msg.start);
+    w.pod<uint64_t>(msg.epoch);
+    w.pod<uint64_t>(msg.leaseTicks);
+    w.pod<uint64_t>(msg.maxNewTokens);
+    w.pod<uint8_t>(static_cast<uint8_t>(msg.reject));
+    w.pod<uint8_t>(msg.stopReason);
+    w.pod<uint8_t>(msg.priority);
+    w.pod<uint64_t>(msg.retryAfterPolls);
+    w.podVector<int>(msg.tokens);
+    return w.bytes();
 }
 
 bool
 decodeMessage(const std::vector<uint8_t> &bytes, Message *msg)
 {
-    size_t pos = 0;
-    uint32_t version = 0;
-    if (!take(bytes, &pos, &version) || version != kWireVersion)
+    util::ByteReader r(bytes);
+    if (r.pod<uint32_t>() != kWireVersion)
         return false;
-    uint8_t type = 0, reject = 0;
-    uint32_t count = 0;
-    if (!take(bytes, &pos, &type) || !take(bytes, &pos, &msg->id) ||
-        !take(bytes, &pos, &msg->tag) ||
-        !take(bytes, &pos, &msg->start) ||
-        !take(bytes, &pos, &msg->epoch) ||
-        !take(bytes, &pos, &msg->leaseTicks) ||
-        !take(bytes, &pos, &msg->maxNewTokens) ||
-        !take(bytes, &pos, &reject) ||
-        !take(bytes, &pos, &msg->stopReason) ||
-        !take(bytes, &pos, &msg->priority) ||
-        !take(bytes, &pos, &msg->retryAfterPolls) ||
-        !take(bytes, &pos, &count))
-        return false;
+    const uint8_t type = r.pod<uint8_t>();
     if (type < static_cast<uint8_t>(MsgType::Hello) ||
         type > static_cast<uint8_t>(MsgType::Goodbye))
         return false;
-    if (bytes.size() - pos != count * sizeof(int32_t))
+    Message out;
+    out.type = static_cast<MsgType>(type);
+    out.id = r.pod<uint64_t>();
+    out.tag = r.pod<uint64_t>();
+    out.start = r.pod<uint64_t>();
+    out.epoch = r.pod<uint64_t>();
+    out.leaseTicks = r.pod<uint64_t>();
+    out.maxNewTokens = r.pod<uint64_t>();
+    const uint8_t reject = r.pod<uint8_t>();
+    if (reject > static_cast<uint8_t>(WireReject::Overloaded))
         return false;
-    msg->type = static_cast<MsgType>(type);
-    msg->reject = static_cast<WireReject>(reject);
-    msg->tokens.resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-        int32_t tok = 0;
-        take(bytes, &pos, &tok);
-        msg->tokens[i] = tok;
-    }
+    out.reject = static_cast<WireReject>(reject);
+    out.stopReason = r.pod<uint8_t>();
+    out.priority = r.pod<uint8_t>();
+    out.retryAfterPolls = r.pod<uint64_t>();
+    out.tokens = r.podVector<int>();
+    if (!r.ok() || !r.exhausted())
+        return false;
+    *msg = std::move(out);
     return true;
 }
 

@@ -3,7 +3,8 @@
  * Wire protocol for the client ↔ specinferd shared-memory channel.
  *
  * One flat Message struct (journal-record style: `type` selects the
- * meaningful fields) with a bounds-checked binary codec. Frames
+ * meaningful fields) with a bounds-checked binary codec on
+ * util::ByteWriter/ByteReader, the journal's codec. Frames
  * travel over the CRC-guarded ShmRing, so the codec only has to be
  * honest about lengths — a decode failure means a peer speaking a
  * different protocol version, and the connection is dropped.
@@ -32,8 +33,10 @@ namespace ipc {
 
 /** Protocol version; bumped on any wire-format change.
  *  v2: Submit carries a priority class; Reject carries
- *  retryAfterPolls for Overloaded backpressure. */
-constexpr uint32_t kWireVersion = 2;
+ *  retryAfterPolls for Overloaded backpressure.
+ *  v3: the token vector is length-prefixed by a u64 count
+ *  (util::ByteWriter's vector encoding). */
+constexpr uint32_t kWireVersion = 3;
 
 /** Message kinds. */
 enum class MsgType : uint8_t
@@ -116,7 +119,8 @@ struct Message
 /** Serialize `msg` into a frame payload. */
 std::vector<uint8_t> encodeMessage(const Message &msg);
 
-/** Decode a frame payload; false on any bounds/version violation. */
+/** Decode a frame payload; false on any bounds/version violation
+ *  or out-of-range enum byte (`msg` is left untouched then). */
 bool decodeMessage(const std::vector<uint8_t> &bytes, Message *msg);
 
 /**

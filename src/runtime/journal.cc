@@ -1,6 +1,5 @@
 #include "runtime/journal.h"
 
-#include <cstring>
 #include <istream>
 #include <ostream>
 
@@ -9,12 +8,16 @@
 #endif
 
 #include "obs/obs.h"
+#include "util/bytes.h"
 #include "util/logging.h"
 
 namespace specinfer {
 namespace runtime {
 
 namespace {
+
+using util::ByteReader;
+using util::ByteWriter;
 
 /** Table-driven CRC-32 (IEEE 802.3, reflected 0xEDB88320). */
 struct Crc32Table
@@ -39,77 +42,6 @@ crcTable()
     return table;
 }
 
-/** Little-endian append-only payload buffer. */
-class ByteWriter
-{
-  public:
-    template <typename T>
-    void pod(T value)
-    {
-        const char *raw = reinterpret_cast<const char *>(&value);
-        buf_.append(raw, sizeof(T));
-    }
-
-    template <typename T>
-    void podVector(const std::vector<T> &v)
-    {
-        pod<uint64_t>(v.size());
-        buf_.append(reinterpret_cast<const char *>(v.data()),
-                    v.size() * sizeof(T));
-    }
-
-    const std::string &bytes() const { return buf_; }
-
-  private:
-    std::string buf_;
-};
-
-/**
- * Bounds-checked payload cursor. Reads past the end (a torn or
- * corrupt payload) flip ok() to false and return zeros instead of
- * aborting — journal damage is an expected condition, not a bug.
- */
-class ByteReader
-{
-  public:
-    explicit ByteReader(const std::string &buf) : buf_(buf) {}
-
-    template <typename T>
-    T pod()
-    {
-        T value{};
-        if (pos_ + sizeof(T) > buf_.size()) {
-            ok_ = false;
-            return value;
-        }
-        std::memcpy(&value, buf_.data() + pos_, sizeof(T));
-        pos_ += sizeof(T);
-        return value;
-    }
-
-    template <typename T>
-    std::vector<T> podVector()
-    {
-        uint64_t len = pod<uint64_t>();
-        if (!ok_ || len > (buf_.size() - pos_) / sizeof(T)) {
-            ok_ = false;
-            return {};
-        }
-        std::vector<T> v(len);
-        std::memcpy(v.data(), buf_.data() + pos_, len * sizeof(T));
-        pos_ += len * sizeof(T);
-        return v;
-    }
-
-    bool ok() const { return ok_; }
-    bool exhausted() const { return pos_ == buf_.size(); }
-
-  private:
-    const std::string &buf_;
-    size_t pos_ = 0;
-    bool ok_ = true;
-};
-
 void
 writeRng(ByteWriter &w, const util::RngState &state)
 {
@@ -130,7 +62,7 @@ readRng(ByteReader &r)
     return state;
 }
 
-std::string
+std::vector<uint8_t>
 serializePayload(const JournalRecord &rec)
 {
     ByteWriter w;
@@ -191,17 +123,28 @@ serializePayload(const JournalRecord &rec)
         w.pod<uint64_t>(rec.id);
         w.pod<uint64_t>(rec.adoptedTokens);
         break;
+      case RecordType::Header:
+        w.string(rec.llm);
+        w.pod<uint64_t>(rec.ssmLayers);
+        w.pod<uint8_t>(rec.ssmPrecision);
+        w.string(rec.expansion);
+        w.pod<uint64_t>(rec.seed);
+        w.pod<uint64_t>(rec.engineMaxNewTokens);
+        w.pod<double>(rec.temperature);
+        w.pod<uint64_t>(rec.maxBatchSize);
+        w.pod<uint8_t>(rec.tpDegree);
+        break;
     }
     return w.bytes();
 }
 
 bool
-parsePayload(const std::string &payload, JournalRecord &rec)
+parsePayload(const std::vector<uint8_t> &payload, JournalRecord &rec)
 {
     ByteReader r(payload);
     uint8_t raw_type = r.pod<uint8_t>();
     if (!r.ok() || raw_type < 1 ||
-        raw_type > static_cast<uint8_t>(RecordType::Admit))
+        raw_type > static_cast<uint8_t>(RecordType::Header))
         return false;
     rec = JournalRecord();
     rec.type = static_cast<RecordType>(raw_type);
@@ -261,6 +204,17 @@ parsePayload(const std::string &payload, JournalRecord &rec)
         rec.id = r.pod<uint64_t>();
         rec.adoptedTokens = r.pod<uint64_t>();
         break;
+      case RecordType::Header:
+        rec.llm = r.string();
+        rec.ssmLayers = r.pod<uint64_t>();
+        rec.ssmPrecision = r.pod<uint8_t>();
+        rec.expansion = r.string();
+        rec.seed = r.pod<uint64_t>();
+        rec.engineMaxNewTokens = r.pod<uint64_t>();
+        rec.temperature = r.pod<double>();
+        rec.maxBatchSize = r.pod<uint64_t>();
+        rec.tpDegree = r.pod<uint8_t>();
+        break;
     }
     // A valid payload is consumed exactly: trailing garbage means a
     // framing bug or corruption that happened to pass the CRC of a
@@ -299,11 +253,14 @@ recordTypeName(RecordType type)
         return "begin";
       case RecordType::Admit:
         return "admit";
+      case RecordType::Header:
+        return "header";
     }
     return "unknown";
 }
 
-JournalWriter::JournalWriter(std::ostream &out) : out_(&out)
+JournalWriter::JournalWriter(std::ostream &out, uint64_t offset)
+    : out_(&out), bytes_(offset)
 {
 }
 
@@ -328,7 +285,8 @@ JournalWriter::append(const JournalRecord &record)
 {
     if (closed_)
         return;
-    const std::string payload = serializePayload(record);
+    const std::vector<uint8_t> payload = serializePayload(record);
+    const char *raw = reinterpret_cast<const char *>(payload.data());
     const uint32_t len = static_cast<uint32_t>(payload.size());
     const uint32_t crc =
         crc32(payload.data(), payload.size());
@@ -337,14 +295,13 @@ JournalWriter::append(const JournalRecord &record)
     if (tearNext_) {
         // Simulated crash mid-append: half the payload reaches the
         // stream, then the "process" is gone.
-        out_->write(payload.data(),
+        out_->write(raw,
                     static_cast<std::streamsize>(payload.size() / 2));
         out_->flush();
         closed_ = true;
         return;
     }
-    out_->write(payload.data(),
-                static_cast<std::streamsize>(payload.size()));
+    out_->write(raw, static_cast<std::streamsize>(payload.size()));
     out_->flush();
     SPECINFER_CHECK(out_->good(), "journal append failed");
     bytes_ += sizeof(len) + sizeof(crc) + payload.size();
@@ -389,8 +346,9 @@ JournalReader::next(JournalRecord &record)
             o->metrics().counter("journal_torn_tails")->inc();
         return false;
     }
-    std::string payload(len, '\0');
-    in_->read(payload.data(), static_cast<std::streamsize>(len));
+    std::vector<uint8_t> payload(len);
+    in_->read(reinterpret_cast<char *>(payload.data()),
+              static_cast<std::streamsize>(len));
     if (static_cast<uint32_t>(in_->gcount()) != len ||
         crc32(payload.data(), payload.size()) != crc ||
         !parsePayload(payload, record)) {

@@ -28,6 +28,11 @@
  * the step, never model activations or KV rows. This keeps the
  * journal tiny (the snapshot holds the bulky state) and makes
  * replay a pure bookkeeping pass — no model execution.
+ *
+ * One journal spans every process generation: a restart cuts the
+ * torn tail and appends after it (runtime::JournalFile), opening
+ * with a Header record that names the engine, so the whole serving
+ * history can be re-driven offline (verify::replayJournal).
  */
 
 #ifndef SPECINFER_RUNTIME_JOURNAL_H
@@ -80,6 +85,12 @@ enum class RecordType : uint8_t
      * clock tick earlier than the uninterrupted run).
      */
     Admit = 7,
+    /**
+     * Engine identity, written whenever a journal is attached: the
+     * fields verify::replayJournal rebuilds the serving engine
+     * from. Recovery ignores it.
+     */
+    Header = 8,
 };
 
 /** Printable record type name (logs and tests). */
@@ -94,7 +105,7 @@ struct JournalRecord
 {
     RecordType type = RecordType::Submit;
 
-    /** Request id (all types except Iteration). */
+    /** Request id (Submit, Step, Preempt, Finish, Admit). */
     uint64_t id = 0;
 
     // --- Submit ---------------------------------------------------
@@ -154,6 +165,22 @@ struct JournalRecord
     uint64_t degrCurrentBackoff = 0;
     uint64_t degrReenableIteration = 0;
     uint64_t degrDisableEpisodes = 0;
+
+    // --- Header ---------------------------------------------------
+    /** LLM preset name (model::llmPreset). */
+    std::string llm;
+    /** Early-exit SSM depth (0 = incremental, no SSM). */
+    uint64_t ssmLayers = 0;
+    /** model::Precision of the SSM, flattened. */
+    uint8_t ssmPrecision = 0;
+    /** Expansion in ExpansionConfig::toString() form. */
+    std::string expansion;
+    uint64_t seed = 0;
+    uint64_t engineMaxNewTokens = 0;
+    /** LLM sampling temperature (0 = greedy). */
+    double temperature = 0.0;
+    uint64_t maxBatchSize = 0;
+    uint8_t tpDegree = 1;
 };
 
 /**
@@ -164,13 +191,17 @@ class JournalWriter
 {
   public:
     /** @param out Destination stream (non-owning; must outlive the
-     *         writer). Appends start at the current position. */
-    explicit JournalWriter(std::ostream &out);
+     *         writer). Appends start at the current position.
+     *  @param offset File offset of that position: bytesWritten()
+     *         counts from here, so snapshot offsets stay file
+     *         offsets when a journal is appended to. */
+    explicit JournalWriter(std::ostream &out, uint64_t offset = 0);
 
     /** Append one record (no-op once closed()). */
     void append(const JournalRecord &record);
 
-    /** Bytes of fully written records (excludes a torn tail). */
+    /** Offset just past the last fully written record (a torn
+     *  tail is not counted). */
     uint64_t bytesWritten() const { return bytes_; }
 
     /**

@@ -1,6 +1,11 @@
 #include "runtime/request_manager.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -1228,6 +1233,29 @@ RequestManager::journalAdmit(uint64_t id, uint64_t adopted_tokens)
 }
 
 void
+RequestManager::attachJournal(JournalWriter *journal)
+{
+    journal_ = journal;
+    if (journal_ == nullptr)
+        return;
+    const core::EngineConfig &ecfg = engine_->config();
+    const std::vector<const model::Transformer *> ssms =
+        engine_->ssms();
+    JournalRecord rec;
+    rec.type = RecordType::Header;
+    rec.llm = engine_->llm().config().name;
+    rec.ssmLayers = ssms.empty() ? 0 : ssms.front()->config().nLayers;
+    rec.ssmPrecision = cfg_.ssmPrecision;
+    rec.expansion = ecfg.spec.expansion.toString();
+    rec.seed = ecfg.seed;
+    rec.engineMaxNewTokens = ecfg.maxNewTokens;
+    rec.temperature = ecfg.llmSampling.temperature;
+    rec.maxBatchSize = cfg_.maxBatchSize;
+    rec.tpDegree = cfg_.tpDegree;
+    journal_->append(rec);
+}
+
+void
 RequestManager::writeSnapshot(std::ostream &out) const
 {
     out.write(kSnapMagic, 4);
@@ -1588,6 +1616,9 @@ RequestManager::applyRecord(const JournalRecord &rec)
                            stats_.iterations, cow_pending});
         break;
       }
+
+      case RecordType::Header:
+        break; // engine identity, for offline replay only
     }
 }
 
@@ -1802,6 +1833,80 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
         publishMetrics();
     }
     return skip + replayed;
+}
+
+JournalFile::JournalFile(RequestManager &manager, std::string path)
+    : manager_(&manager), path_(std::move(path))
+{
+}
+
+JournalFile::~JournalFile()
+{
+    if (syncFd_ >= 0)
+        ::close(syncFd_);
+}
+
+bool
+JournalFile::open(bool resume)
+{
+    std::ifstream in(path_, std::ios::binary);
+    if (resume && in.good()) {
+        std::stringstream journal;
+        journal << in.rdbuf();
+        const uint64_t size = journal.str().size();
+        std::ifstream snap(path_ + ".snap", std::ios::binary);
+        // Recovered with no journal attached: the snapshot written
+        // below covers whatever recover() retires (its contract). A
+        // snapshot offset past the end (journal bytes lost with the
+        // page cache) leaves nothing to cut.
+        recovered_ = std::min(
+            manager_->recover(snap.good() ? &snap : nullptr, &journal),
+            size);
+    }
+    in.close();
+    if (::truncate(path_.c_str(), static_cast<off_t>(recovered_)) !=
+            0 &&
+        errno != ENOENT)
+        return false;
+    out_.open(path_, std::ios::binary | std::ios::app);
+    if (!out_.good())
+        return false;
+    writer_ = std::make_unique<JournalWriter>(out_, recovered_);
+    if (manager_->config().journalFsync) {
+        // Second descriptor on the same file: appends flush the
+        // stream per record, so fdatasync here makes every
+        // committed frame power-loss durable (DESIGN.md §5d).
+        syncFd_ = ::open(path_.c_str(), O_WRONLY);
+        if (syncFd_ >= 0)
+            writer_->setSyncFd(syncFd_);
+    }
+    manager_->attachJournal(writer_.get());
+    snapshot();
+    return true;
+}
+
+void
+JournalFile::snapshot()
+{
+    // Every record the snapshot's offset covers must be on disk
+    // before the snapshot replaces the previous one.
+    out_.flush();
+    writer_->sync();
+    const std::string snap = path_ + ".snap";
+    const std::string tmp = snap + ".tmp";
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    manager_->writeSnapshot(out);
+    out.close();
+    SPECINFER_CHECK(!out.fail(), "cannot write snapshot '" << tmp << "'");
+    if (manager_->config().journalFsync) {
+        const int fd = ::open(tmp.c_str(), O_WRONLY);
+        if (fd >= 0) {
+            ::fdatasync(fd);
+            ::close(fd);
+        }
+    }
+    SPECINFER_CHECK(std::rename(tmp.c_str(), snap.c_str()) == 0,
+                    "cannot replace snapshot '" << snap << "'");
 }
 
 } // namespace runtime

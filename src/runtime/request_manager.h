@@ -15,10 +15,11 @@
 
 #include <cstddef>
 #include <deque>
+#include <fstream>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/spec_engine.h"
@@ -306,6 +307,8 @@ class RequestManager
      */
     RequestManager(const core::SpecEngine *engine, ServingConfig cfg);
 
+    const ServingConfig &config() const { return cfg_; }
+
     /**
      * Submit a request.
      *
@@ -412,8 +415,7 @@ class RequestManager
      *  reconnecting after a daemon restart. */
     std::vector<int> generatedSoFar(uint64_t id) const;
 
-    /** Identity of every pending or active request (a restarting
-     *  daemon re-records its recovered in-flight stream). */
+    /** Identity of every pending or active request. */
     struct InflightInfo
     {
         uint64_t id = 0;
@@ -462,8 +464,11 @@ class RequestManager
      * cursor), preemption, finish, committed iteration — is
      * appended before the manager moves on, and the Crash fault
      * point becomes live inside runIteration() (see crashed()).
+     * Attaching appends a Header record naming the engine and
+     * serving shape, so every process generation's records are
+     * preceded by the identity verify::replayJournal rebuilds.
      */
-    void attachJournal(JournalWriter *journal) { journal_ = journal; }
+    void attachJournal(JournalWriter *journal);
 
     /**
      * Serialize the full scheduling state: iteration clock, stats,
@@ -692,6 +697,57 @@ class RequestManager
      *  signals the crashed process saw. */
     bool resumeSpecRan_ = false;
     bool resumeFaultSeen_ = false;
+};
+
+/**
+ * The on-disk persistence of one serving process: the write-ahead
+ * journal at `path` and its latest snapshot at `path.snap`. The
+ * daemon and `spec_infer --journal` both serve through it.
+ *
+ * open() recovers the manager from both files, cuts the journal to
+ * the valid prefix recover() reports (dropping a torn tail), and
+ * appends from there: one journal spans every process generation,
+ * and a snapshot's skip offset is always an offset into that file.
+ * snapshot() replaces `.snap` atomically — written to `.snap.tmp`,
+ * synced when ServingConfig::journalFsync is set, then renamed over
+ * the old one — so a crash mid-snapshot leaves the previous
+ * snapshot in place, still pointing into the same journal.
+ */
+class JournalFile
+{
+  public:
+    /** @param manager Freshly constructed manager (non-owning). */
+    JournalFile(RequestManager &manager, std::string path);
+    ~JournalFile();
+
+    JournalFile(const JournalFile &) = delete;
+    JournalFile &operator=(const JournalFile &) = delete;
+
+    /**
+     * Recover (when `resume` and the journal exists), cut the
+     * journal to its valid prefix — to empty when not resuming —
+     * attach it for appending, and write the first snapshot.
+     * @return false when the journal cannot be opened for writing.
+     */
+    bool open(bool resume);
+
+    /** Write a snapshot and atomically replace `.snap` with it. */
+    void snapshot();
+
+    /** Push buffered journal bytes to the file (signal paths). */
+    void flush() { out_.flush(); }
+
+    /** Valid journal bytes open() recovered (0 when it did not). */
+    uint64_t recoveredBytes() const { return recovered_; }
+
+  private:
+    RequestManager *manager_;
+    std::string path_;
+    std::ofstream out_;
+    std::unique_ptr<JournalWriter> writer_;
+    /** Descriptor for fdatasync when journalFsync is on. */
+    int syncFd_ = -1;
+    uint64_t recovered_ = 0;
 };
 
 } // namespace runtime

@@ -1,0 +1,134 @@
+/**
+ * @file
+ * In-memory byte codec shared by the write-ahead journal
+ * (runtime/journal) and the IPC wire protocol (ipc/wire).
+ *
+ * ByteWriter appends fixed-width values and length-prefixed
+ * vectors and strings (u64 element count, then the raw elements) to
+ * a buffer, in host byte order — little-endian on every supported
+ * target. ByteReader walks a buffer with bounds checks: a read past
+ * the end (a torn, truncated or hostile payload) flips ok() to false
+ * and yields zeros instead of aborting, and a length prefix is
+ * checked against the bytes left before anything is allocated, so a
+ * payload can never make the reader allocate more than it carries.
+ * Decoders read field by field and check ok() — usually together
+ * with exhausted() — once at the end.
+ *
+ * File streaming of MB-sized weights and KV rows goes through
+ * model::io::writePod/readPod instead.
+ */
+
+#ifndef SPECINFER_UTIL_BYTES_H
+#define SPECINFER_UTIL_BYTES_H
+
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <type_traits>
+#include <vector>
+
+namespace specinfer {
+namespace util {
+
+/** Append-only payload buffer. */
+class ByteWriter
+{
+  public:
+    template <typename T>
+    void pod(T value)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        append(&value, sizeof(T));
+    }
+
+    template <typename T>
+    void podVector(const std::vector<T> &v)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        pod<uint64_t>(v.size());
+        append(v.data(), v.size() * sizeof(T));
+    }
+
+    void string(const std::string &s)
+    {
+        pod<uint64_t>(s.size());
+        append(s.data(), s.size());
+    }
+
+    const std::vector<uint8_t> &bytes() const { return buf_; }
+
+  private:
+    void append(const void *data, size_t size)
+    {
+        const uint8_t *raw = static_cast<const uint8_t *>(data);
+        buf_.insert(buf_.end(), raw, raw + size);
+    }
+
+    std::vector<uint8_t> buf_;
+};
+
+/** Bounds-checked payload cursor (see the file comment). */
+class ByteReader
+{
+  public:
+    ByteReader(const void *data, size_t size)
+        : data_(static_cast<const uint8_t *>(data)), size_(size)
+    {
+    }
+
+    explicit ByteReader(const std::vector<uint8_t> &buf)
+        : ByteReader(buf.data(), buf.size())
+    {
+    }
+
+    template <typename T>
+    T pod()
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        T value{};
+        if (!ok_ || size_ - pos_ < sizeof(T)) {
+            ok_ = false;
+            return value;
+        }
+        std::memcpy(&value, data_ + pos_, sizeof(T));
+        pos_ += sizeof(T);
+        return value;
+    }
+
+    template <typename T>
+    std::vector<T> podVector()
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        const uint64_t len = pod<uint64_t>();
+        if (!ok_ || len > (size_ - pos_) / sizeof(T)) {
+            ok_ = false;
+            return {};
+        }
+        std::vector<T> v(static_cast<size_t>(len));
+        if (!v.empty())
+            std::memcpy(v.data(), data_ + pos_, v.size() * sizeof(T));
+        pos_ += v.size() * sizeof(T);
+        return v;
+    }
+
+    std::string string()
+    {
+        const std::vector<char> chars = podVector<char>();
+        return std::string(chars.begin(), chars.end());
+    }
+
+    bool ok() const { return ok_; }
+    bool exhausted() const { return pos_ == size_; }
+
+  private:
+    const uint8_t *data_;
+    size_t size_;
+    size_t pos_ = 0;
+    bool ok_ = true;
+};
+
+} // namespace util
+} // namespace specinfer
+
+#endif // SPECINFER_UTIL_BYTES_H

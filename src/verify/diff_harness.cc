@@ -5,6 +5,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <sstream>
 
@@ -1013,6 +1014,159 @@ runRecoveryTrial(uint64_t seed, bool verbose)
                               ": " + joinTokens(res.tokens);
     }
     return out;
+}
+
+JournalReplayResult
+replayJournal(std::istream &in, std::ostream &log, bool verbose)
+{
+    using runtime::RecordType;
+    JournalReplayResult result;
+    runtime::JournalReader reader(in);
+    runtime::JournalRecord header;
+    if (!reader.next(header) || header.type != RecordType::Header) {
+        result.error = "journal does not start with a header record";
+        return result;
+    }
+
+    // One pass over every process generation: the first Submit of
+    // each id, and each request's tokens as the journal saw them.
+    struct Journaled
+    {
+        std::vector<int> tokens; ///< Step tokens since the last Preempt
+        bool done = false;
+        uint8_t stopReason = 0;
+    };
+    std::map<uint64_t, Journaled> byId;
+    std::vector<runtime::JournalRecord> submits;
+    runtime::JournalRecord rec;
+    while (reader.next(rec)) {
+        switch (rec.type) {
+          case RecordType::Submit:
+            if (byId.emplace(rec.id, Journaled{}).second)
+                submits.push_back(rec);
+            break;
+          case RecordType::Step: {
+            Journaled &j = byId[rec.id];
+            j.tokens.insert(j.tokens.end(), rec.tokens.begin(),
+                            rec.tokens.end());
+            if (rec.sessionDone) {
+                j.done = true;
+                j.stopReason = rec.stopReason;
+            }
+            break;
+          }
+          case RecordType::Preempt:
+            byId[rec.id].tokens.clear(); // re-admission starts over
+            break;
+          case RecordType::Finish: {
+            Journaled &j = byId[rec.id];
+            j.done = true;
+            j.stopReason = rec.stopReason;
+            break;
+          }
+          default:
+            break; // scheduling bookkeeping and later Headers
+        }
+    }
+    result.tornTail = reader.tornTail();
+
+    // Rebuild the journaled engine, SSM precision and tensor-
+    // parallel degree included: a replay re-drives the journaled
+    // process, execution shape and all.
+    model::ModelConfig llm_cfg = model::llmPreset(header.llm);
+    llm_cfg.tensorParallel = std::max<size_t>(1, header.tpDegree);
+    model::Transformer llm = model::makeLlm(llm_cfg);
+    const size_t ssm_layers = static_cast<size_t>(header.ssmLayers);
+    model::Transformer ssm =
+        static_cast<model::Precision>(header.ssmPrecision) ==
+                model::Precision::Int8
+            ? model::makeInt8Ssm(llm, ssm_layers)
+            : model::makeEarlyExitSsm(llm, ssm_layers);
+    core::EngineConfig cfg =
+        header.temperature > 0.0
+            ? core::EngineConfig::stochasticDefault(
+                  static_cast<float>(header.temperature))
+            : core::EngineConfig::greedyDefault();
+    cfg.spec.expansion = core::ExpansionConfig::parse(header.expansion);
+    cfg.maxNewTokens = static_cast<size_t>(header.engineMaxNewTokens);
+    cfg.seed = header.seed;
+    std::vector<const model::Transformer *> ssms;
+    if (!cfg.spec.expansion.widths.empty())
+        ssms.push_back(&ssm);
+    core::SpecEngine engine(&llm, ssms, cfg);
+
+    runtime::ServingConfig scfg;
+    scfg.maxBatchSize = static_cast<size_t>(header.maxBatchSize);
+    scfg.ssmPrecision = header.ssmPrecision;
+    scfg.tpDegree = header.tpDegree;
+    runtime::RequestManager manager(&engine, scfg);
+
+    // Re-submit at the journaled arrival iterations: the gaps
+    // reproduce the batching shape, which makes this a serving-stack
+    // re-drive rather than a bare generate() sweep.
+    for (const runtime::JournalRecord &sub : submits) {
+        while (manager.stats().iterations < sub.arrivalIteration)
+            manager.runIteration();
+        const runtime::SubmitResult res = manager.submit(
+            sub.prompt, static_cast<size_t>(sub.maxNewTokens), 0,
+            static_cast<runtime::Priority>(
+                sub.priority < runtime::kPriorityCount ? sub.priority
+                                                       : 1));
+        ++result.requests;
+        if (!res.accepted() || res.id != sub.id) {
+            ++result.mismatches;
+            log << "replay: submit for journaled id " << sub.id
+                << " got " << (res.accepted() ? "id" : "rejected")
+                << " " << res.id << "\n";
+        }
+    }
+    manager.runUntilDrained();
+
+    std::map<uint64_t, const runtime::RequestResult *> replayed;
+    for (const runtime::RequestResult &res : manager.finished())
+        replayed[res.id] = &res;
+
+    for (const auto &[id, journaled] : byId) {
+        if (journaled.tokens.empty() && !journaled.done)
+            continue; // never stepped before the journal ends
+        ++result.checked;
+        auto it = replayed.find(id);
+        if (it == replayed.end()) {
+            ++result.mismatches;
+            log << "replay: journaled id " << id
+                << " never finished in replay\n";
+            continue;
+        }
+        using SR = core::SpecSession::StopReason;
+        const SR stop = static_cast<SR>(journaled.stopReason);
+        const bool exact = journaled.done && stop != SR::Deadline &&
+                           stop != SR::Cancelled &&
+                           stop != SR::Preempted && stop != SR::Shed;
+        const std::vector<int> &want = journaled.tokens;
+        const std::vector<int> &got = it->second->tokens;
+        const bool match =
+            exact ? want == got
+                  : want.size() <= got.size() &&
+                        std::equal(want.begin(), want.end(),
+                                   got.begin());
+        if (!match) {
+            ++result.mismatches;
+            log << "replay: id " << id << " diverged ("
+                << (exact ? "exact" : "prefix") << " check, "
+                << want.size() << " journaled vs " << got.size()
+                << " replayed tokens)\n";
+        } else if (verbose) {
+            log << "replay: id " << id << " ok (" << want.size()
+                << " tokens" << (exact ? "" : ", prefix") << ")\n";
+        }
+    }
+
+    result.ok = result.mismatches == 0;
+    log << "replay: " << result.requests << " requests, "
+        << result.checked << " checked, " << result.mismatches
+        << " mismatches"
+        << (result.tornTail ? " (torn tail tolerated)" : "") << "\n";
+    return result;
 }
 
 MssCheckResult

@@ -23,7 +23,10 @@
  *    proposal-multiset preservation, topological node/chunk
  *    ordering;
  *  - KV round trips: keepRows() after verification leaves the cache
- *    byte-identical to a fresh prefill of the accepted prefix.
+ *    byte-identical to a fresh prefill of the accepted prefix;
+ *  - crash recovery and journal replay: serving state rebuilt from
+ *    a write-ahead journal, and serving re-driven offline from one,
+ *    must reproduce the journaled tokens.
  *
  * Every trial is a pure function of its 64-bit seed, so any failure
  * reported by tools/diffcheck prints a one-line repro that replays
@@ -33,7 +36,9 @@
 #ifndef SPECINFER_VERIFY_DIFF_HARNESS_H
 #define SPECINFER_VERIFY_DIFF_HARNESS_H
 
+#include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -96,6 +101,36 @@ TrialOutcome runKvRoundTripTrial(uint64_t seed);
  * redundant releases.
  */
 TrialOutcome runRecoveryTrial(uint64_t seed, bool verbose = false);
+
+/** Outcome of replayJournal(). */
+struct JournalReplayResult
+{
+    bool ok = false;
+    /** Journal unreadable or not opened by a Header record. */
+    std::string error;
+    size_t requests = 0;   ///< unique requests re-submitted
+    size_t checked = 0;    ///< requests with journaled tokens compared
+    size_t mismatches = 0;
+    bool tornTail = false; ///< the journal ended in a torn record
+};
+
+/**
+ * Re-drive a serving journal offline — the `diffcheck
+ * --replay-journal` oracle for live daemon incidents. Rebuilds the
+ * engine from the first Header record, re-submits every request at
+ * its journaled arrival iteration through a fresh RequestManager,
+ * drains, and compares each request's journaled tokens (its Step
+ * tokens since its last Preempt, across every process generation
+ * the journal spans): exact equality for normal stops, prefix
+ * consistency for aborted requests (cancel, deadline, shed and
+ * preemption cut at a timing-dependent point) and for requests
+ * still in flight when the journal ends. Cancels and deadlines are
+ * not re-applied.
+ *
+ * @param log Human-readable progress/mismatch report.
+ */
+JournalReplayResult replayJournal(std::istream &in, std::ostream &log,
+                                  bool verbose = false);
 
 /** Configuration of the MSS distribution check. */
 struct MssCheckConfig

@@ -3,16 +3,19 @@
  * Differential oracle tests: exercise the src/verify harness from
  * the tier-1 suite so equivalence regressions fail in ctest with a
  * seed-exact repro, plus explicit greedy-equality and stop-sequence
- * parity cases at fixed configurations.
+ * parity cases at fixed configurations, and the journal replay
+ * oracle's own negative control.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
 #include "../model/test_models.h"
 #include "core/spec_engine.h"
 #include "model/model_factory.h"
+#include "runtime/request_manager.h"
 #include "verify/diff_harness.h"
 
 namespace specinfer {
@@ -195,6 +198,53 @@ TEST_P(OracleSweep, KvRoundTripTrialPasses)
 INSTANTIATE_TEST_SUITE_P(Seeds, OracleSweep,
                          ::testing::Range(uint64_t{1000},
                                           uint64_t{1010}));
+
+TEST(DiffOracle, JournalReplayCatchesATamperedToken)
+{
+    // replayJournal passes an honest serving journal and flags one
+    // whose journaled tokens the engine would not have emitted.
+    model::Transformer llm = model::makeLlm(model::llmPreset("tiny"));
+    model::Transformer ssm = model::makeEarlyExitSsm(llm, 2);
+    EngineConfig cfg = EngineConfig::greedyDefault();
+    cfg.maxNewTokens = 12;
+    SpecEngine engine(&llm, {&ssm}, cfg);
+    runtime::ServingConfig scfg;
+    scfg.maxBatchSize = 2;
+    runtime::RequestManager manager(&engine, scfg);
+    std::stringstream journal;
+    runtime::JournalWriter writer(journal);
+    manager.attachJournal(&writer);
+    util::Rng rng(3);
+    for (int i = 0; i < 4; ++i)
+        manager.submit(randomPrompt(rng, 4, 64), 0);
+    manager.runUntilDrained();
+
+    std::ostringstream log;
+    std::stringstream honest(journal.str());
+    verify::JournalReplayResult res =
+        verify::replayJournal(honest, log);
+    EXPECT_TRUE(res.ok) << res.error << log.str();
+    EXPECT_EQ(res.requests, 4u);
+    EXPECT_EQ(res.checked, 4u);
+
+    std::stringstream tampered;
+    runtime::JournalWriter rewriter(tampered);
+    runtime::JournalReader reader(journal);
+    runtime::JournalRecord rec;
+    bool changed = false;
+    while (reader.next(rec)) {
+        if (!changed && rec.type == runtime::RecordType::Step &&
+            !rec.tokens.empty()) {
+            rec.tokens[0] ^= 1;
+            changed = true;
+        }
+        rewriter.append(rec);
+    }
+    ASSERT_TRUE(changed);
+    res = verify::replayJournal(tampered, log);
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.mismatches, 1u) << log.str();
+}
 
 TEST(DiffOracle, MssDistributionMatchesIncremental)
 {

@@ -11,21 +11,19 @@
  *    reap/cancel aborts);
  *  - zero leaked KV blocks once the daemon is idle;
  *  - zero leaked shared-memory segments after drain;
- *  - the cross-generation recording replays token-identically.
+ *  - the journal, spanning every daemon generation, replays
+ *    token-identically.
  */
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "../model/test_models.h"
 #include "ipc/client.h"
 #include "ipc/daemon.h"
-#include "ipc/replay.h"
 #include "obs/obs.h"
 #include "runtime/kv_memory.h"
 #include "util/fault.h"
@@ -80,8 +78,8 @@ TEST(DaemonSoakTest, ChaosSoakKeepsEveryInvariant)
     // The soak daemon serves SHARDED (tp=2) while every oracle
     // comparison below stays against the fixture's tp=1 engine:
     // §5j bit-identity soaked under chaos, with the degree riding
-    // through each crash's snapshot recovery and the recording
-    // header.
+    // through each crash's snapshot recovery and the journal
+    // Header.
     model::ModelConfig sharded_cfg = model::llmPreset("tiny");
     sharded_cfg.tensorParallel = 2;
     model::Transformer sharded_llm = model::makeLlm(sharded_cfg);
@@ -98,10 +96,8 @@ TEST(DaemonSoakTest, ChaosSoakKeepsEveryInvariant)
 
     DaemonConfig dcfg = f.daemonConfig();
     dcfg.journalPath = f.dir + "/soak.wal";
-    dcfg.recordPath = f.dir + "/soak.rec";
     dcfg.snapshotEvery = 8;
     dcfg.leaseTicks = 16;
-    dcfg.recordHeader.tpDegree = 2;
 
     auto daemon =
         std::make_unique<Daemon>(&sharded_engine, scfg, dcfg);
@@ -166,7 +162,7 @@ TEST(DaemonSoakTest, ChaosSoakKeepsEveryInvariant)
             }
 
             // Crash the daemon (destructor, no drain) and restart
-            // over the same journal/recording/segments.
+            // over the same journal/segments.
             if (crashes < kMaxCrashes &&
                 chaos.uniformInt(1000) < 5) {
                 daemon.reset();
@@ -264,15 +260,10 @@ TEST(DaemonSoakTest, ChaosSoakKeepsEveryInvariant)
     EXPECT_TRUE(listSegments(f.dir, "specinferd").empty())
         << "leaked shared-memory segments";
 
-    // The recording spans every daemon generation and replays
+    // The journal spans every daemon generation and replays
     // token-identically offline.
-    std::ifstream rec(dcfg.recordPath, std::ios::binary);
-    ASSERT_TRUE(rec.good());
-    std::ostringstream log;
-    ReplayResult res = replayRecording(rec, log);
-    EXPECT_TRUE(res.ok) << log.str();
-    EXPECT_EQ(res.mismatches, 0u) << log.str();
-    EXPECT_GT(res.finishesChecked, 0u);
+    EXPECT_GT(testutil::expectJournalReplays(dcfg.journalPath).checked,
+              0u);
 }
 
 /**
@@ -309,7 +300,6 @@ TEST(DaemonSoakTest, WatchdogHangWedgeChaosSoakRecovers)
 
     DaemonConfig dcfg = f.daemonConfig();
     dcfg.journalPath = f.dir + "/wdsoak.wal";
-    dcfg.recordPath = f.dir + "/wdsoak.rec";
     dcfg.snapshotEvery = 8;
     dcfg.leaseTicks = 16;
     dcfg.obs = &obs_ctx;
@@ -478,12 +468,7 @@ TEST(DaemonSoakTest, WatchdogHangWedgeChaosSoakRecovers)
     EXPECT_TRUE(listSegments(f.dir, "specinferd").empty())
         << "leaked shared-memory segments";
 
-    std::ifstream rec(dcfg.recordPath, std::ios::binary);
-    ASSERT_TRUE(rec.good());
-    std::ostringstream log;
-    ReplayResult res = replayRecording(rec, log);
-    EXPECT_TRUE(res.ok) << log.str();
-    EXPECT_EQ(res.mismatches, 0u) << log.str();
+    testutil::expectJournalReplays(dcfg.journalPath);
 }
 
 } // namespace

@@ -9,9 +9,10 @@
  * of an abandoned (kill -9'd) client without disturbing survivors,
  * typed admission rejections (invalid prompt, queue-full,
  * draining), daemon crash + restart with journaled recovery and
- * client-side resume, the injected `client-reap` fault survived by
- * reconnecting, recording replay, jittered preemption backoff
- * determinism, and the pinned ipc / daemon metrics catalog.
+ * client-side resume, a restart whose snapshot never landed, the
+ * injected `client-reap` fault survived by reconnecting, journal
+ * replay, jittered preemption backoff determinism, and the pinned
+ * ipc / daemon metrics catalog.
  */
 
 #include "ipc/daemon.h"
@@ -19,14 +20,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <tuple>
 
 #include "../model/test_models.h"
 #include "ipc/client.h"
-#include "ipc/replay.h"
 #include "obs/obs.h"
 #include "util/fault.h"
 
@@ -214,7 +217,6 @@ TEST(DaemonTest, CrashRestartRecoversAndResumesStreams)
     Fixture f;
     DaemonConfig dcfg = f.daemonConfig();
     dcfg.journalPath = f.dir + "/serve.wal";
-    dcfg.recordPath = f.dir + "/stream.rec";
     dcfg.snapshotEvery = 4;
 
     auto daemon = std::make_unique<Daemon>(
@@ -246,7 +248,7 @@ TEST(DaemonTest, CrashRestartRecoversAndResumesStreams)
         << "crashed too late: everything already finished";
 
     // kill -9 the daemon: destructor without drain(). Segments,
-    // journal, and recording survive on disk.
+    // journal, and snapshot survive on disk.
     daemon.reset();
     daemon = std::make_unique<Daemon>(&f.engine, f.servingConfig(),
                                       dcfg);
@@ -274,23 +276,120 @@ TEST(DaemonTest, CrashRestartRecoversAndResumesStreams)
     daemon->drain();
     EXPECT_TRUE(listSegments(f.dir, "specinferd").empty());
 
-    // The recording spans both daemon generations and replays
+    // The journal spans both daemon generations and replays
     // token-identically offline.
-    std::ifstream rec(dcfg.recordPath, std::ios::binary);
-    ASSERT_TRUE(rec.good());
-    std::ostringstream log;
-    ReplayResult res = replayRecording(rec, log);
-    EXPECT_TRUE(res.ok) << log.str();
-    EXPECT_EQ(res.mismatches, 0u);
-    EXPECT_GE(res.finishesChecked, 3u);
+    EXPECT_GE(testutil::expectJournalReplays(dcfg.journalPath).checked,
+              3u);
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+TEST(DaemonTest, RestartWhoseSnapshotNeverLandedLosesNothing)
+{
+    // Every start writes a snapshot. A start that crashes before its
+    // snapshot lands must not cost the next one any accepted work:
+    // the previous snapshot stays in place (a half-written .snap.tmp
+    // never replaces it), and the journal it points into was
+    // appended to by the crashed start, never truncated.
+    Fixture f;
+    DaemonConfig dcfg = f.daemonConfig();
+    dcfg.journalPath = f.dir + "/serve.wal";
+    dcfg.snapshotEvery = 4;
+    const std::string snap_path = dcfg.journalPath + ".snap";
+
+    // Daemon A serves past its first periodic snapshot, then accepts
+    // more requests before crashing.
+    auto daemon = std::make_unique<Daemon>(
+        &f.engine, f.servingConfig(), dcfg);
+    ASSERT_TRUE(daemon->start());
+    Client client(f.clientConfig(1));
+    ASSERT_EQ(client.connect(), ClientStatus::Pending);
+    constexpr size_t kMaxNew = 40; // long enough to be mid-stream
+    std::vector<uint64_t> tags;
+    auto submitAndAck = [&](int first, int last) {
+        for (int i = first; i < last; ++i)
+            tags.push_back(client.submit(f.prompt(i), kMaxNew));
+        for (int r = 0; r < 400; ++r) {
+            client.poll();
+            daemon->tick();
+            bool all_acked = true;
+            for (uint64_t tag : tags)
+                all_acked = all_acked && client.request(tag)->acked;
+            if (all_acked &&
+                daemon->manager().stats().iterations >=
+                    dcfg.snapshotEvery)
+                return;
+        }
+        FAIL() << "requests never acked";
+    };
+    submitAndAck(0, 2);
+    submitAndAck(2, 4);
+    // Still short of the second periodic snapshot: the last two
+    // requests exist only in the journal.
+    ASSERT_LT(daemon->manager().stats().iterations,
+              2 * dcfg.snapshotEvery);
+    ASSERT_GT(client.inflightCount(), 0u);
+    const std::string a_snapshot = readFile(snap_path);
+    daemon.reset();
+
+    // Daemon B recovers, then crashes; then B's snapshot is undone,
+    // as if it never landed: A's is back, and a half-written
+    // replacement sits beside it.
+    daemon = std::make_unique<Daemon>(&f.engine, f.servingConfig(),
+                                      dcfg);
+    ASSERT_TRUE(daemon->start());
+    daemon.reset();
+    writeFile(snap_path, a_snapshot);
+    writeFile(snap_path + ".tmp",
+              a_snapshot.substr(0, a_snapshot.size() / 2));
+
+    // Daemon C recovers every request A accepted and finishes each
+    // one token-identically.
+    daemon = std::make_unique<Daemon>(&f.engine, f.servingConfig(),
+                                      dcfg);
+    ASSERT_TRUE(daemon->start());
+    for (uint64_t tag : tags)
+        EXPECT_NE(daemon->manager().phase(client.request(tag)->id),
+                  runtime::RequestManager::RequestPhase::Unknown)
+            << "request " << client.request(tag)->id << " lost";
+    pumpUntilIdle(*daemon, client, 1200);
+    ASSERT_EQ(client.inflightCount(), 0u);
+    for (size_t i = 0; i < tags.size(); ++i) {
+        const ClientRequest *req = client.request(tags[i]);
+        ASSERT_TRUE(req->finished) << "request " << i;
+        EXPECT_NE(static_cast<StopReason>(req->stopReason),
+                  StopReason::Cancelled)
+            << "request " << i;
+        EXPECT_EQ(req->tokens, f.oracle(f.prompt(static_cast<int>(i)),
+                                        req->id, kMaxNew))
+            << "request " << i;
+    }
+    daemon->drain();
+
+    // The journal spans all three generations and replays.
+    testutil::expectJournalReplays(dcfg.journalPath);
 }
 
 TEST(DaemonTest, ShardedDaemonMatchesUnshardedOracleAndReplays)
 {
     // A daemon serving at --tp 2 must stream tokens identical to
     // the tp=1 engine oracle (§5j bit-identity at the serving
-    // boundary), and its recording — which persists the degree in
-    // the header — must replay token-identically offline with the
+    // boundary), and its journal — which persists the degree in
+    // the Header — must replay token-identically offline with the
     // engine rebuilt at that same degree.
     Fixture f;
     model::ModelConfig sharded_cfg = model::llmPreset("tiny");
@@ -302,8 +401,7 @@ TEST(DaemonTest, ShardedDaemonMatchesUnshardedOracleAndReplays)
     runtime::ServingConfig scfg = f.servingConfig();
     scfg.tpDegree = 2;
     DaemonConfig dcfg = f.daemonConfig();
-    dcfg.recordPath = f.dir + "/sharded.rec";
-    dcfg.recordHeader.tpDegree = 2;
+    dcfg.journalPath = f.dir + "/sharded.wal";
     Daemon daemon(&engine, scfg, dcfg);
     ASSERT_TRUE(daemon.start());
 
@@ -324,13 +422,39 @@ TEST(DaemonTest, ShardedDaemonMatchesUnshardedOracleAndReplays)
     }
     daemon.drain();
 
-    std::ifstream rec(dcfg.recordPath, std::ios::binary);
-    ASSERT_TRUE(rec.good());
-    std::ostringstream log;
-    ReplayResult res = replayRecording(rec, log);
-    EXPECT_TRUE(res.ok) << log.str();
-    EXPECT_EQ(res.mismatches, 0u);
-    EXPECT_GE(res.finishesChecked, 3u);
+    EXPECT_GE(testutil::expectJournalReplays(dcfg.journalPath).checked,
+              3u);
+}
+
+TEST(DaemonTest, ClientReapedMidHandshakeReconnects)
+{
+    // A client silent past its lease before its handshake completes
+    // (its backoff outgrew the lease while the daemon restarted) is
+    // reaped. waitConnected() must start over on a fresh channel,
+    // not wait forever on the unlinked one.
+    Fixture f;
+    Daemon daemon(&f.engine, f.servingConfig(), f.daemonConfig());
+    ASSERT_TRUE(daemon.start());
+    Client client(f.clientConfig(1));
+    ASSERT_EQ(client.connect(), ClientStatus::Pending);
+    for (uint64_t t = 0; t < f.daemonConfig().leaseTicks + 4; ++t)
+        daemon.tick();
+    ASSERT_EQ(daemon.reapCount(), 1u);
+
+    // The daemon keeps ticking beside the blocking handshake, slow
+    // enough that the spinning client beats the next lease expiry.
+    std::atomic<bool> stop{false};
+    std::thread ticker([&]() {
+        while (!stop.load()) {
+            daemon.tick();
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+    });
+    const ClientStatus status = client.waitConnected(5000000);
+    stop.store(true);
+    ticker.join();
+    EXPECT_EQ(status, ClientStatus::Ok);
+    daemon.drain();
 }
 
 TEST(DaemonTest, InjectedClientReapIsSurvivedByReconnecting)

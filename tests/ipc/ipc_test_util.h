@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared fixture for the in-process specinferd IPC tests: a tiny
- * preset-backed engine (so recordings replay offline) plus a
- * scratch IPC directory that is wiped on teardown.
+ * preset-backed engine (so journals replay offline) plus a scratch
+ * IPC directory that is wiped on teardown.
  *
  * In-process clients all share one pid, so channel names collide on
  * the nonce alone — tests must hand every client a distinct nonce
@@ -16,6 +16,8 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "ipc/client.h"
 #include "ipc/daemon.h"
 #include "model/model_factory.h"
+#include "verify/diff_harness.h"
 
 namespace specinfer {
 namespace ipc {
@@ -39,8 +42,8 @@ makeScratchDir()
 
 /**
  * Engine + scratch-dir fixture. The LLM is the `tiny` *preset* (not
- * the ad-hoc test model) so recordings made here carry an engine
- * identity that replayRecording() can rebuild offline.
+ * the ad-hoc test model) so journals written here carry an engine
+ * identity that verify::replayJournal() can rebuild offline.
  */
 struct Fixture
 {
@@ -61,7 +64,7 @@ struct Fixture
     static core::EngineConfig
     engineConfig()
     {
-        // Exactly greedyDefault + the fields a recording header
+        // Exactly greedyDefault + the fields a journal Header
         // carries, so the replayed engine is this engine.
         core::EngineConfig cfg = core::EngineConfig::greedyDefault();
         cfg.spec.expansion = core::ExpansionConfig::parse("1,2,2");
@@ -85,12 +88,6 @@ struct Fixture
         dcfg.dir = dir;
         dcfg.scanEvery = 1;   // co-op tests want instant discovery
         dcfg.leaseTicks = 24;
-        dcfg.recordHeader.llm = "tiny";
-        dcfg.recordHeader.ssmLayers = 2;
-        dcfg.recordHeader.expansion = "1,2,2";
-        dcfg.recordHeader.seed = 7;
-        dcfg.recordHeader.engineMaxNewTokens = 12;
-        dcfg.recordHeader.temperature = 0.0;
         return dcfg;
     }
 
@@ -128,6 +125,20 @@ struct Fixture
     model::Transformer ssm;
     core::SpecEngine engine;
 };
+
+/** Re-drive a daemon journal offline; asserts it replays
+ *  token-identically and returns the result for further checks. */
+inline verify::JournalReplayResult
+expectJournalReplays(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    std::ostringstream log;
+    verify::JournalReplayResult res = verify::replayJournal(in, log);
+    EXPECT_TRUE(res.ok) << res.error << "\n" << log.str();
+    EXPECT_EQ(res.mismatches, 0u) << log.str();
+    return res;
+}
 
 /** One co-op round: every client polls, then the daemon ticks. */
 inline void

@@ -118,11 +118,28 @@ sampleIteration()
     return r;
 }
 
+JournalRecord
+sampleHeader()
+{
+    JournalRecord r;
+    r.type = RecordType::Header;
+    r.llm = "tiny";
+    r.ssmLayers = 2;
+    r.ssmPrecision = 1;
+    r.expansion = "<1,2,2>";
+    r.seed = 7;
+    r.engineMaxNewTokens = 12;
+    r.temperature = 0.8;
+    r.maxBatchSize = 4;
+    r.tpDegree = 2;
+    return r;
+}
+
 std::vector<JournalRecord>
 sampleRecords()
 {
-    return {sampleSubmit(), sampleStep(), samplePreempt(),
-            sampleFinish(), sampleIteration()};
+    return {sampleHeader(), sampleSubmit(), sampleStep(),
+            samplePreempt(), sampleFinish(), sampleIteration()};
 }
 
 void
@@ -164,6 +181,15 @@ expectEqual(const JournalRecord &got, const JournalRecord &want)
     EXPECT_EQ(got.degrCurrentBackoff, want.degrCurrentBackoff);
     EXPECT_EQ(got.degrReenableIteration, want.degrReenableIteration);
     EXPECT_EQ(got.degrDisableEpisodes, want.degrDisableEpisodes);
+    EXPECT_EQ(got.llm, want.llm);
+    EXPECT_EQ(got.ssmLayers, want.ssmLayers);
+    EXPECT_EQ(got.ssmPrecision, want.ssmPrecision);
+    EXPECT_EQ(got.expansion, want.expansion);
+    EXPECT_EQ(got.seed, want.seed);
+    EXPECT_EQ(got.engineMaxNewTokens, want.engineMaxNewTokens);
+    EXPECT_EQ(got.temperature, want.temperature);
+    EXPECT_EQ(got.maxBatchSize, want.maxBatchSize);
+    EXPECT_EQ(got.tpDegree, want.tpDegree);
 }
 
 TEST(JournalTest, AllRecordTypesRoundTrip)
@@ -277,12 +303,14 @@ TEST(JournalTest, TornAppendClosesWriterAndTruncatesCleanly)
     EXPECT_EQ(reader.bytesConsumed(), valid);
 
     // The recovery protocol: truncate to bytesConsumed(), reopen,
-    // append — the journal is whole again.
+    // append — the journal is whole again, and the resumed writer's
+    // offsets are offsets into the whole stream.
     std::stringstream repaired(
         buf.str().substr(0, reader.bytesConsumed()));
     repaired.seekp(0, std::ios::end);
-    JournalWriter resumed(repaired);
+    JournalWriter resumed(repaired, reader.bytesConsumed());
     resumed.append(sampleIteration());
+    EXPECT_EQ(resumed.bytesWritten(), repaired.str().size());
     repaired.seekg(0);
     JournalReader reread(repaired);
     size_t count = 0;

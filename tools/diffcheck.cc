@@ -9,16 +9,17 @@
  *             [--recovery-trials N] [--mss-samples N] [--seed S]
  *             [--alpha A]
  *             [--replay SEED --kind greedy|fuzz|kv|recovery]
- *             [--replay-record FILE [--verbose]]
+ *             [--replay-journal FILE [--verbose]]
  *
  * Exit status is 0 iff every check passes. On failure the tool
  * prints `diffcheck --replay <seed> --kind <kind>`, which re-runs
  * exactly the failing trial with verbose detail.
  *
- * --replay-record re-drives a specinferd request-stream recording
- * through a fresh engine and checks token-identical reproduction
- * (exact for finished requests, prefix for aborted ones) — the
- * offline oracle for live daemon incidents.
+ * --replay-journal re-drives a serving journal (specinferd or
+ * spec_infer --journal, across every restart it spans) through a
+ * fresh engine and checks token-identical reproduction (exact for
+ * finished requests, prefix for aborted ones) — the offline oracle
+ * for live daemon incidents.
  */
 
 #include <cstdio>
@@ -26,7 +27,6 @@
 #include <iostream>
 #include <string>
 
-#include "ipc/replay.h"
 #include "util/flags.h"
 #include "verify/diff_harness.h"
 
@@ -78,20 +78,19 @@ main(int argc, char **argv)
     flags.allowOnly({"trials", "fuzz-trials", "kv-trials",
                      "recovery-trials", "mss-samples", "mss-ssms",
                      "seed", "alpha", "replay", "kind",
-                     "replay-record", "verbose"});
+                     "replay-journal", "verbose"});
 
     const uint64_t seed0 =
         static_cast<uint64_t>(flags.getInt("seed", 1));
 
-    if (flags.has("replay-record")) {
-        const std::string path = flags.get("replay-record", "");
+    if (flags.has("replay-journal")) {
+        const std::string path = flags.get("replay-journal", "");
         std::ifstream in(path, std::ios::binary);
         if (!in.good()) {
-            std::printf("cannot read recording '%s'\n",
-                        path.c_str());
+            std::printf("cannot read journal '%s'\n", path.c_str());
             return 2;
         }
-        ipc::ReplayResult res = ipc::replayRecording(
+        verify::JournalReplayResult res = verify::replayJournal(
             in, std::cout, flags.getBool("verbose"));
         if (!res.error.empty()) {
             std::printf("replay: %s\n", res.error.c_str());

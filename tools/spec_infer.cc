@@ -32,19 +32,14 @@
  * (simulating a crash); a subsequent run with --recover rebuilds
  * the scheduler from snapshot + journal tail and finishes the
  * interrupted requests — with outputs token-identical to an
- * uninterrupted run.
+ * uninterrupted run — appending to the same journal, which
+ * `diffcheck --replay-journal` then re-drives end to end.
  */
 
 #include "cli_common.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
-#include "runtime/journal.h"
 #include "runtime/request_manager.h"
 #include "util/logging.h"
 
@@ -62,7 +57,6 @@ serveJournaled(core::SpecEngine &engine,
                int64_t crash_after, bool recover_mode,
                bool journal_fsync, bool verbose)
 {
-    const std::string snap_path = journal_path + ".snap";
     runtime::ServingConfig scfg;
     scfg.maxBatchSize = batch;
     // Persisted in every snapshot: recovery refuses to resume a run
@@ -73,24 +67,19 @@ serveJournaled(core::SpecEngine &engine,
     scfg.journalFsync = journal_fsync;
     runtime::RequestManager manager(&engine, scfg);
 
+    // --recover rebuilds from snapshot + journal tail (tolerating a
+    // torn final record) and appends to the same journal; a fresh
+    // run starts it empty.
+    runtime::JournalFile journal(manager, journal_path);
+    SPECINFER_CHECK(journal.open(recover_mode),
+                    "cannot write journal '" << journal_path << "'");
     size_t next_prompt = 0;
     if (recover_mode) {
-        // Rebuild from the persisted bytes: snapshot (if any) plus
-        // the journal tail, tolerating a torn final record.
-        std::stringstream journal_in;
-        {
-            std::ifstream in(journal_path, std::ios::binary);
-            SPECINFER_CHECK(in.good(), "cannot read journal '"
-                                           << journal_path << "'");
-            journal_in << in.rdbuf();
-        }
-        std::ifstream snap_in(snap_path, std::ios::binary);
-        uint64_t valid = manager.recover(
-            snap_in.good() ? &snap_in : nullptr, &journal_in);
         std::printf("recover: %llu valid journal bytes, "
                     "%zu finished, %zu active, %zu pending at "
                     "iteration %zu\n",
-                    static_cast<unsigned long long>(valid),
+                    static_cast<unsigned long long>(
+                        journal.recoveredBytes()),
                     manager.finished().size(),
                     manager.activeCount(), manager.pendingCount(),
                     static_cast<size_t>(manager.stats().iterations));
@@ -100,38 +89,10 @@ serveJournaled(core::SpecEngine &engine,
                       manager.activeCount() +
                       manager.pendingCount();
     }
-
-    // Start a fresh journal epoch: snapshot the recovered (or
-    // empty) state, then truncate the journal and append from zero.
-    std::ofstream journal_out(journal_path,
-                              std::ios::binary | std::ios::trunc);
-    SPECINFER_CHECK(journal_out.good(),
-                    "cannot write journal '" << journal_path << "'");
-    runtime::JournalWriter journal(journal_out);
-    // Power-loss durability (opt-in): a second descriptor on the
-    // journal file; appends flush the stream, sync() fdatasyncs it
-    // at iteration and snapshot boundaries.
-    int sync_fd = -1;
-    if (journal_fsync) {
-        sync_fd = ::open(journal_path.c_str(), O_WRONLY);
-        if (sync_fd >= 0)
-            journal.setSyncFd(sync_fd);
-    }
-    manager.attachJournal(&journal);
     // An operator interrupt mid-serve still leaves a recoverable
-    // journal prefix on disk (satellite of the daemon work: every
-    // serving entry point flushes state on SIGINT/SIGTERM).
-    tools::setSignalFlushHook([&journal_out]() {
-        journal_out.flush();
-    });
-    auto snapshot = [&]() {
-        std::ofstream snap_out(snap_path,
-                               std::ios::binary | std::ios::trunc);
-        manager.writeSnapshot(snap_out);
-        journal_out.flush();
-        journal.sync(); // no-op without --journal-fsync
-    };
-    snapshot();
+    // journal prefix on disk (every serving entry point flushes
+    // state on SIGINT/SIGTERM).
+    tools::setSignalFlushHook([&journal]() { journal.flush(); });
 
     for (size_t i = next_prompt; i < num_prompts; ++i)
         manager.submit(dataset.prompt(i), 0);
@@ -141,13 +102,13 @@ serveJournaled(core::SpecEngine &engine,
         manager.runIteration();
         ++it;
         if (it % snap_every == 0)
-            snapshot();
+            journal.snapshot();
         if (crash_after >= 0 &&
             it >= static_cast<size_t>(crash_after) &&
             manager.busy()) {
             // Simulated process death: no snapshot, no drain — the
             // journal's flushed prefix is all a restart gets.
-            journal_out.flush();
+            journal.flush();
             std::printf("crash-after: dying at iteration %zu with "
                         "%zu requests in flight (rerun with "
                         "--recover)\n",
@@ -157,7 +118,7 @@ serveJournaled(core::SpecEngine &engine,
             std::exit(3);
         }
     }
-    snapshot();
+    journal.snapshot();
 
     double steps = 0.0, tokens = 0.0;
     for (const runtime::RequestResult &res : manager.finished()) {
@@ -173,9 +134,7 @@ serveJournaled(core::SpecEngine &engine,
                 "(%.2f tokens/step) over %zu iterations\n",
                 tokens, steps, tokens / steps,
                 static_cast<size_t>(manager.stats().iterations));
-    tools::setSignalFlushHook(nullptr); // journal_out leaves scope
-    if (sync_fd >= 0)
-        ::close(sync_fd);
+    tools::setSignalFlushHook(nullptr); // journal leaves scope
     return 0;
 }
 

@@ -20,12 +20,11 @@
  *              [--max-ticks 0]        stop after N ticks (CI; 0 =
  *                                     run until signalled)
  *              [--journal PATH]       write-ahead journal (crash
- *                                     recovery; snapshot at .snap)
+ *                                     recovery; snapshot at .snap;
+ *                                     diffcheck --replay-journal)
  *              [--journal-fsync]      fdatasync the journal at
  *                                     iteration/snapshot boundaries
  *                                     (power-loss durability)
- *              [--record PATH]        request-stream recording
- *                                     (diffcheck --replay-record)
  *              [--class-buckets i,s,b] per-class token-bucket
  *                                     capacities (0 = unmetered)
  *              [--class-refill i,s,b] bucket refill periods
@@ -42,8 +41,8 @@
  * (submits come back Rejected(Draining)), in-flight requests finish
  * and stream out, every segment is unlinked, and the process exits
  * 0. kill -9 is the crash path: segments and journal survive, and
- * the next specinferd over the same --dir/--journal recovers and
- * resumes every stream.
+ * the next specinferd over the same --dir/--journal recovers,
+ * resumes every stream, and appends to the same journal.
  */
 
 #include "cli_common.h"
@@ -81,7 +80,7 @@ main(int argc, char **argv)
                      "max-tokens", "temperature", "batch", "dir",
                      "lease-ticks", "scan-every", "tick-micros",
                      "max-ticks", "journal", "snapshot-every",
-                     "journal-fsync", "record",
+                     "journal-fsync",
                      "class-buckets", "class-refill",
                      "wall-deadline-ms", "watchdog-budget-ms",
                      "stall-degrade", "crash-after",
@@ -107,7 +106,7 @@ main(int argc, char **argv)
 
     // --tp shards the serving models across simulated tensor-
     // parallel ranks (bit-identical tokens at every degree); the
-    // degree is persisted in snapshots and recording headers so
+    // degree is persisted in snapshots and journal headers so
     // recovery and replay re-run the same execution shape.
     const size_t tp_degree =
         static_cast<size_t>(flags.getInt("tp", 1));
@@ -176,18 +175,6 @@ main(int argc, char **argv)
     dcfg.journalPath = flags.get("journal", "");
     dcfg.snapshotEvery =
         static_cast<size_t>(flags.getInt("snapshot-every", 64));
-    dcfg.recordPath = flags.get("record", "");
-    dcfg.recordHeader.llm = llm_name;
-    dcfg.recordHeader.ssmLayers = ssm_layers;
-    dcfg.recordHeader.expansion =
-        cfg.spec.expansion.toString();
-    dcfg.recordHeader.seed = seed;
-    dcfg.recordHeader.engineMaxNewTokens = max_tokens;
-    dcfg.recordHeader.temperature =
-        static_cast<double>(temperature);
-    dcfg.recordHeader.ssmPrecision =
-        static_cast<uint8_t>(ssm_precision);
-    dcfg.recordHeader.tpDegree = static_cast<uint8_t>(tp_degree);
     dcfg.obs = obs_ctx.get();
     dcfg.watchdogBudgetNanos =
         static_cast<uint64_t>(
@@ -206,12 +193,11 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("specinferd: epoch %llu serving in %s "
-                "(lease %llu ticks%s%s)\n",
+                "(lease %llu ticks%s)\n",
                 static_cast<unsigned long long>(daemon.epoch()),
                 daemon.dir().c_str(),
                 static_cast<unsigned long long>(dcfg.leaseTicks),
-                dcfg.journalPath.empty() ? "" : ", journaled",
-                dcfg.recordPath.empty() ? "" : ", recorded");
+                dcfg.journalPath.empty() ? "" : ", journaled");
     std::fflush(stdout);
 
     std::signal(SIGINT, onStopSignal);
