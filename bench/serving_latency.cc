@@ -68,7 +68,6 @@ simulate(const core::SpecEngine &engine,
 
     runtime::ServingConfig serving;
     serving.maxBatchSize = 8;
-    serving.captureBatchTrace = true; // priced per-iteration below
     runtime::RequestManager manager(&engine, serving);
     std::vector<double> submit_time(requests + 1, 0.0);
     double clock = 0.0;
@@ -90,7 +89,7 @@ simulate(const core::SpecEngine &engine,
             continue;
         }
         manager.runIteration();
-        size_t batch = manager.stats().batchSizeTrace.back();
+        size_t batch = manager.stats().lastBatchSize;
         if (batch > 0) {
             scenario.batchSize = batch;
             clock += sim.iterationLatency(scenario, profile);

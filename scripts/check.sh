@@ -125,7 +125,7 @@ cmake --build --preset asan --target test_ipc
 
 # Crash-recovery oracle under ASan/UBSan: seeded workloads crashed
 # at random points (torn journal records included) must recover to
-# bit-identical outputs with no KV leak.
+# bit-identical outputs and ServingStats with no KV leak.
 cmake --build --preset asan --target test_recovery
 SPECINFER_RECOVERY_TRIALS=300 ./build-asan/tests/test_recovery
 

@@ -8,6 +8,7 @@
 #endif
 
 #include "obs/obs.h"
+#include "runtime/request.h"
 #include "util/bytes.h"
 #include "util/logging.h"
 
@@ -93,21 +94,13 @@ serializePayload(const JournalRecord &rec)
         break;
       case RecordType::Preempt:
         w.pod<uint64_t>(rec.id);
-        w.pod<uint64_t>(rec.preemptionCount);
-        w.pod<uint64_t>(rec.earliestRestart);
         break;
       case RecordType::Finish:
         w.pod<uint64_t>(rec.id);
         w.pod<uint8_t>(rec.stopReason);
-        w.pod<uint64_t>(rec.arrivalIteration);
-        w.pod<uint64_t>(rec.startIteration);
-        w.pod<uint64_t>(rec.finishIteration);
-        w.pod<uint64_t>(rec.preemptions);
         break;
       case RecordType::Iteration:
         w.pod<uint64_t>(rec.iteration);
-        w.pod<uint8_t>(rec.iterDegraded);
-        w.pod<uint8_t>(rec.iterSlow);
         w.pod<uint8_t>(rec.degrSpeculationDisabled);
         w.pod<uint64_t>(rec.degrConsecutiveFaults);
         w.pod<uint64_t>(rec.degrCleanIterations);
@@ -118,6 +111,7 @@ serializePayload(const JournalRecord &rec)
       case RecordType::Begin:
         w.pod<uint64_t>(rec.iteration);
         w.pod<uint64_t>(rec.iterNanos);
+        w.pod<uint8_t>(rec.iterSlow);
         break;
       case RecordType::Admit:
         w.pod<uint64_t>(rec.id);
@@ -174,21 +168,13 @@ parsePayload(const std::vector<uint8_t> &payload, JournalRecord &rec)
         break;
       case RecordType::Preempt:
         rec.id = r.pod<uint64_t>();
-        rec.preemptionCount = r.pod<uint64_t>();
-        rec.earliestRestart = r.pod<uint64_t>();
         break;
       case RecordType::Finish:
         rec.id = r.pod<uint64_t>();
         rec.stopReason = r.pod<uint8_t>();
-        rec.arrivalIteration = r.pod<uint64_t>();
-        rec.startIteration = r.pod<uint64_t>();
-        rec.finishIteration = r.pod<uint64_t>();
-        rec.preemptions = r.pod<uint64_t>();
         break;
       case RecordType::Iteration:
         rec.iteration = r.pod<uint64_t>();
-        rec.iterDegraded = r.pod<uint8_t>();
-        rec.iterSlow = r.pod<uint8_t>();
         rec.degrSpeculationDisabled = r.pod<uint8_t>();
         rec.degrConsecutiveFaults = r.pod<uint64_t>();
         rec.degrCleanIterations = r.pod<uint64_t>();
@@ -199,6 +185,7 @@ parsePayload(const std::vector<uint8_t> &payload, JournalRecord &rec)
       case RecordType::Begin:
         rec.iteration = r.pod<uint64_t>();
         rec.iterNanos = r.pod<uint64_t>();
+        rec.iterSlow = r.pod<uint8_t>();
         break;
       case RecordType::Admit:
         rec.id = r.pod<uint64_t>();
@@ -216,10 +203,13 @@ parsePayload(const std::vector<uint8_t> &payload, JournalRecord &rec)
         rec.tpDegree = r.pod<uint8_t>();
         break;
     }
-    // A valid payload is consumed exactly: trailing garbage means a
-    // framing bug or corruption that happened to pass the CRC of a
-    // different record — reject either way.
-    return r.ok() && r.exhausted();
+    // Enum bytes apply() indexes with must be in range, and a valid
+    // payload is consumed exactly: trailing garbage means a framing
+    // bug or corruption that happened to pass the CRC of a different
+    // record — reject either way.
+    return r.ok() && r.exhausted() && rec.priority < kPriorityCount &&
+           rec.stopReason <= static_cast<uint8_t>(
+                                 core::SpecSession::StopReason::Shed);
 }
 
 } // namespace

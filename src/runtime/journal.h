@@ -2,15 +2,15 @@
  * @file
  * Write-ahead token journal for crash-safe serving.
  *
- * The RequestManager appends one record per scheduling event —
- * request accepted, one decode step committed (with the verified
- * tokens and the post-step sampler/RNG cursor), request preempted,
- * request finished, iteration committed — so that a crash at any
- * point loses at most the record being written. Recovery loads the
- * most recent snapshot and replays the journal tail on top of it
- * (RequestManager::recover), reconstructing the exact pre-crash
- * scheduling state; the KV caches rebuild lazily through the
- * engine's catch-up path, which is output-invariant.
+ * Every state change of an accepted request is one record, and
+ * RequestManager::apply() is the only code that turns a record into
+ * state. Live serving decides (admission, preemption, deadlines),
+ * builds the record, appends it here, then applies it; recovery
+ * (RequestManager::recover) loads the most recent snapshot and
+ * applies the journal tail on top of it. Both paths run the same
+ * transition function, so the recovered scheduling state is the
+ * pre-crash state by construction; the KV caches rebuild through
+ * the engine's output-invariant catch-up path.
  *
  * On-disk format: a bare stream of records, each framed as
  *
@@ -25,9 +25,11 @@
  *
  * Records deliberately carry *events*, not state: a Step record
  * holds the tokens the verifier committed and the RNG cursor after
- * the step, never model activations or KV rows. This keeps the
- * journal tiny (the snapshot holds the bulky state) and makes
- * replay a pure bookkeeping pass — no model execution.
+ * the step, never model activations or KV rows, and a Preempt or
+ * Finish record names only the request (and the stop reason) —
+ * apply() derives everything else from the state it transitions.
+ * This keeps the journal tiny (the snapshot holds the bulky state)
+ * and means replay re-runs no decode step.
  *
  * One journal spans every process generation: a restart cuts the
  * torn tail and appends after it (runtime::JournalFile), opening
@@ -60,21 +62,22 @@ enum class RecordType : uint8_t
     Submit = 1,
     /** One decode step committed for an active request. */
     Step = 2,
-    /** An active request was preempted and requeued. */
+    /** An active request was preempted: KV released, requeued with
+     *  a jittered backoff window (apply() makes the jitter draw). */
     Preempt = 3,
     /** A request finished (normally or aborted). */
     Finish = 4,
     /** One scheduling iteration committed (clock + degradation). */
     Iteration = 5,
     /**
-     * An iteration began: the iteration index and the wall-clock
-     * reading every deadline decision inside it will use. Written
-     * before any step, so a crash anywhere inside the iteration
-     * leaves recovery the exact timestamp needed to *resume* the
-     * half-journaled iteration (skipping already-replayed steps)
-     * instead of re-running it one clock tick out of phase —
-     * without this, wall-clock deadline expiries could land one
-     * step off after a mid-iteration crash.
+     * An iteration's batch is formed and stepping begins: the
+     * iteration index, the wall-clock reading every deadline decision
+     * inside it uses, and whether an injected straggler advanced the
+     * clock. Written after the iteration's admissions and before any
+     * step, so a crash anywhere inside the iteration leaves recovery
+     * an open iteration to *resume* (skipping already-applied steps)
+     * with exactly the clock the crashed process used, instead of
+     * re-running it one clock tick out of phase.
      */
     Begin = 6,
     /**
@@ -114,7 +117,7 @@ struct JournalRecord
     uint64_t deadlineIterations = 0;
     /** Absolute wall-clock deadline in obs::Clock nanos (0 = none). */
     uint64_t deadlineNanos = 0;
-    /** runtime::Priority, flattened. */
+    /** runtime::Priority, flattened (< kPriorityCount). */
     uint8_t priority = 1;
     std::vector<int> prompt;
 
@@ -128,37 +131,30 @@ struct JournalRecord
      *  to it instead of recomputing the step. */
     util::RngState rngAfter;
     bool sessionDone = false;
-    /** core::SpecSession::StopReason (Step and Finish). */
+    /** core::SpecSession::StopReason, flattened (Step and Finish;
+     *  at most StopReason::Shed). */
     uint8_t stopReason = 0;
 
-    // --- Preempt --------------------------------------------------
-    uint64_t preemptionCount = 0;
-    uint64_t earliestRestart = 0;
-
-    // --- Finish (tokens/stats are rebuilt from replayed Steps) ----
-    uint64_t startIteration = 0;
-    uint64_t finishIteration = 0;
-    uint64_t preemptions = 0;
-
-    // --- Iteration / Begin ----------------------------------------
+    // --- Iteration / Begin / Admit --------------------------------
     /** Manager iteration clock after the iteration committed
      *  (Iteration) or when it began (Begin). */
     uint64_t iteration = 0;
     /** Wall-clock reading (obs::Clock nanos) the iteration's
      *  deadline checks use (Begin). */
     uint64_t iterNanos = 0;
+    /** An injected straggler advanced the clock by
+     *  ServingConfig::slowIterationPenalty (Begin). */
+    uint8_t iterSlow = 0;
     /** KV rows resident right after admission — the prefix-store
      *  adoption level (Admit). The crashed process's store was warm
      *  with blocks a cold recovering store cannot adopt; replay
      *  re-hydrates to this level so the recovered session spends
      *  exactly as many prefill iterations as the live one did. */
     uint64_t adoptedTokens = 0;
-    /** This iteration ran with speculation disabled. */
-    uint8_t iterDegraded = 0;
-    /** An injected straggler advanced the clock this iteration. */
-    uint8_t iterSlow = 0;
-    /** runtime::DegradationState, flattened (journal.h must not
-     *  depend on request_manager.h). */
+    /** runtime::DegradationState after the commit, flattened
+     *  (Iteration; journal.h must not depend on request_manager.h).
+     *  Journaled rather than re-derived so an out-of-band
+     *  RequestManager::forceDegrade() survives recovery. */
     uint8_t degrSpeculationDisabled = 0;
     uint64_t degrConsecutiveFaults = 0;
     uint64_t degrCleanIterations = 0;
@@ -240,7 +236,8 @@ class JournalWriter
  * Truncation-tolerant journal reader: yields records until clean
  * EOF or the first damaged frame (short header, short payload, CRC
  * mismatch, or unparseable payload), which it treats as the torn
- * tail of a crash — never an error.
+ * tail of a crash — never an error. A payload whose priority or
+ * stop-reason byte is out of range is damage too.
  */
 class JournalReader
 {

@@ -40,7 +40,10 @@ constexpr char kSnapMagic[4] = {'S', 'P', 'S', 'N'};
 // under the same sharded execution shape the crashed process ran
 // (logits are bit-identical across TP degrees, but recovery is
 // defined as reproducing the crashed process exactly).
-constexpr uint32_t kSnapVersion = 7;
+// v8: event-sourced manager — the batch-size trace is gone (the last
+// iteration's batch size replaces it), and the open-iteration state
+// carries the batch size it began with.
+constexpr uint32_t kSnapVersion = 8;
 
 using model::io::readPod;
 using model::io::readPodVector;
@@ -71,7 +74,10 @@ readRequest(std::istream &in)
     req.maxNewTokens = readPod<uint64_t>(in);
     req.deadlineIterations = readPod<uint64_t>(in);
     req.deadlineNanos = readPod<uint64_t>(in);
-    req.priority = static_cast<Priority>(readPod<uint8_t>(in));
+    const uint8_t priority = readPod<uint8_t>(in);
+    SPECINFER_CHECK(priority < kPriorityCount,
+                    "snapshot request priority out of range");
+    req.priority = static_cast<Priority>(priority);
     req.preemptionCount = readPod<uint64_t>(in);
     req.earliestRestart = readPod<uint64_t>(in);
     return req;
@@ -129,13 +135,19 @@ readResult(std::istream &in)
     res.stats.steps.reserve(n_steps);
     for (uint64_t i = 0; i < n_steps; ++i)
         res.stats.steps.push_back(readStepRecord(in));
-    res.stopReason = static_cast<core::SpecSession::StopReason>(
-        readPod<uint8_t>(in));
+    const uint8_t stop = readPod<uint8_t>(in);
+    SPECINFER_CHECK(stop <= static_cast<uint8_t>(
+                                core::SpecSession::StopReason::Shed),
+                    "snapshot stop reason out of range");
+    res.stopReason = static_cast<core::SpecSession::StopReason>(stop);
     res.arrivalIteration = readPod<uint64_t>(in);
     res.startIteration = readPod<uint64_t>(in);
     res.finishIteration = readPod<uint64_t>(in);
     res.preemptions = readPod<uint64_t>(in);
-    res.priority = static_cast<Priority>(readPod<uint8_t>(in));
+    const uint8_t priority = readPod<uint8_t>(in);
+    SPECINFER_CHECK(priority < kPriorityCount,
+                    "snapshot result priority out of range");
+    res.priority = static_cast<Priority>(priority);
     return res;
 }
 
@@ -242,18 +254,6 @@ RequestManager::shedVictimIndex() const
     return victim;
 }
 
-void
-RequestManager::shedPending(size_t index)
-{
-    Request shed = std::move(pending_[index]);
-    pending_.erase(pending_.begin() +
-                   static_cast<ptrdiff_t>(index));
-    ++stats_.shedRequests;
-    ++stats_.shedByClass[static_cast<size_t>(shed.priority)];
-    finishAborted(std::move(shed), nullptr, stats_.iterations,
-                  core::SpecSession::StopReason::Shed);
-}
-
 SubmitResult
 RequestManager::submit(std::vector<int> prompt,
                        size_t max_new_tokens,
@@ -273,7 +273,7 @@ RequestManager::submit(std::vector<int> prompt,
     // Per-class ingress metering: an empty bucket is overload for
     // this class specifically — other classes keep their own
     // budget, so a Batch burst cannot drain Interactive ingress.
-    // The token is only *consumed* at acceptance below: rejected
+    // The token is only *consumed* by apply(Submit): rejected
     // submits are not journaled, so they must not mutate bucket
     // state replay cannot reconstruct.
     if (!bucketAdmit(priority, out.retryAfterIterations)) {
@@ -311,54 +311,46 @@ RequestManager::submit(std::vector<int> prompt,
             ++stats_.rejectedQueueFull;
             return out;
         }
-        shedPending(victim);
+        commitFinish(pending_[victim].id,
+                     core::SpecSession::StopReason::Shed);
     }
     if (never_fits) {
         out.reject = RejectReason::NeverFits;
         ++stats_.rejectedNeverFits;
         return out;
     }
-    req.arrivalIteration = stats_.iterations;
-    req.priority = priority;
-    req.deadlineIterations = deadline_iterations > 0
+    JournalRecord rec;
+    rec.type = RecordType::Submit;
+    rec.id = nextId_;
+    rec.arrivalIteration = stats_.iterations;
+    rec.maxNewTokens = max_new_tokens;
+    rec.deadlineIterations = deadline_iterations > 0
                                  ? deadline_iterations
                                  : cfg_.defaultDeadlineIterations;
-    req.deadlineNanos = deadline_nanos;
-    if (req.deadlineNanos == 0 &&
+    rec.deadlineNanos = deadline_nanos;
+    if (rec.deadlineNanos == 0 &&
         cfg_.defaultWallDeadlineNanos > 0 && obs_ != nullptr)
-        req.deadlineNanos =
+        rec.deadlineNanos =
             obs_->nowNanos() + cfg_.defaultWallDeadlineNanos;
-    consumeBucketToken(priority);
-    req.id = nextId_++;
-    out.id = req.id;
+    rec.priority = static_cast<uint8_t>(priority);
+    rec.prompt = std::move(req.prompt);
+    commit(rec);
+    out.id = rec.id;
     if (obs_ != nullptr && obs_->tracer().enabled()) {
-        req.submitNanos = obs_->nowNanos();
+        Request &queued = pending_.back();
+        queued.submitNanos = obs_->nowNanos();
         obs_->tracer().instant(
-            req.id, "serving", "submit", req.submitNanos,
+            queued.id, "serving", "submit", queued.submitNanos,
             {{"prompt_tokens",
-              static_cast<int64_t>(req.prompt.size())}});
+              static_cast<int64_t>(queued.prompt.size())}});
     }
-    if (journal_) {
-        JournalRecord rec;
-        rec.type = RecordType::Submit;
-        rec.id = req.id;
-        rec.arrivalIteration = req.arrivalIteration;
-        rec.maxNewTokens = req.maxNewTokens;
-        rec.deadlineIterations = req.deadlineIterations;
-        rec.deadlineNanos = req.deadlineNanos;
-        rec.priority = static_cast<uint8_t>(req.priority);
-        rec.prompt = req.prompt;
-        journal_->append(rec);
-    }
-    pending_.push_back(std::move(req));
-    ++stats_.requestsSubmitted;
     return out;
 }
 
 bool
 RequestManager::busy() const
 {
-    return !pending_.empty() || !active_.empty();
+    return iter_.open || !pending_.empty() || !active_.empty();
 }
 
 double
@@ -411,14 +403,8 @@ RequestManager::admitKv(const Request &req,
     for (uint64_t hash : match.ownHashes)
         prefixStore_->declare(hash);
     session->enablePrefixSharing(prefixStore_.get());
-    const size_t adopted = session->adoptPrefix(
-        match.hashes, match.partialHash, match.partialTokens);
-    if (adopted > 0 && obs_ != nullptr && obs_->tracer().enabled())
-        obs_->tracer().instant(
-            req.id, "serving", "prefix_adopt", obs_->nowNanos(),
-            {{"tokens", static_cast<int64_t>(adopted)},
-             {"blocks",
-              static_cast<int64_t>(match.hashes.size())}});
+    session->adoptPrefix(match.hashes, match.partialHash,
+                         match.partialTokens);
     return match.partialHash;
 }
 
@@ -437,22 +423,38 @@ RequestManager::jitteredBackoff(size_t preemption_count)
     const size_t shift = std::min<size_t>(preemption_count, 16);
     const size_t base =
         std::min(size_t{1} << shift, cfg_.preemptBackoffCap);
-    // One draw per preemption, live or replayed, keeps the RNG
-    // cursor aligned across recovery.
+    // One draw per preemption, in apply(Preempt) on both paths,
+    // keeps the RNG cursor aligned across recovery.
     const size_t jitter = static_cast<size_t>(
         backoffRng_.uniformInt(static_cast<uint64_t>(base / 2 + 1)));
     return base + jitter;
 }
 
+size_t
+RequestManager::activeIndex(uint64_t id) const
+{
+    size_t i = 0;
+    while (i < active_.size() && active_[i].request.id != id)
+        ++i;
+    return i;
+}
+
+size_t
+RequestManager::pendingIndex(uint64_t id) const
+{
+    size_t j = 0;
+    while (j < pending_.size() && pending_[j].id != id)
+        ++j;
+    return j;
+}
+
 RequestManager::RequestPhase
 RequestManager::phase(uint64_t id) const
 {
-    for (const ActiveRequest &ar : active_)
-        if (ar.request.id == id)
-            return RequestPhase::Active;
-    for (const Request &req : pending_)
-        if (req.id == id)
-            return RequestPhase::Pending;
+    if (activeIndex(id) < active_.size())
+        return RequestPhase::Active;
+    if (pendingIndex(id) < pending_.size())
+        return RequestPhase::Pending;
     for (const RequestResult &res : finished_)
         if (res.id == id)
             return RequestPhase::Finished;
@@ -503,95 +505,110 @@ kvFaultKey(uint64_t id, uint64_t iteration)
 
 } // namespace
 
-bool
-RequestManager::tryReserve(uint64_t id, size_t tokens)
+void
+RequestManager::commit(const JournalRecord &rec)
 {
-    // An injected allocation fault is indistinguishable from real
-    // pool pressure, so the same preempt/retry/backoff machinery
-    // absorbs both.
-    if (util::faultAtKeyed(util::FaultPoint::KvAlloc,
-                           kvFaultKey(id, stats_.iterations)))
-        return false;
-    return kvPool_->reserve(id, tokens);
+    if (journal_)
+        journal_->append(rec);
+    apply(rec);
 }
 
 void
-RequestManager::finishAborted(Request &&req,
-                              const core::SpecSession *session,
-                              size_t start_iteration,
-                              core::SpecSession::StopReason reason)
+RequestManager::commitFinish(uint64_t id,
+                             core::SpecSession::StopReason reason)
+{
+    JournalRecord rec;
+    rec.type = RecordType::Finish;
+    rec.id = id;
+    rec.stopReason = static_cast<uint8_t>(reason);
+    commit(rec);
+    if (obs_ != nullptr && obs_->tracer().enabled()) {
+        const RequestResult &res = finished_.back();
+        obs_->tracer().instant(
+            res.id, "serving", "finish", obs_->nowNanos(),
+            {{"stop", static_cast<int64_t>(res.stopReason)},
+             {"tokens", static_cast<int64_t>(res.tokens.size())}});
+    }
+}
+
+void
+RequestManager::retire(const Request &req,
+                       const core::SpecSession *session,
+                       size_t start_iteration,
+                       core::SpecSession::StopReason reason)
 {
     RequestResult res;
     res.id = req.id;
     if (session != nullptr) {
-        // Partial output: with deterministic per-request seeds this
-        // is always a prefix of the request's full output.
+        // An aborted request keeps its partial output: with
+        // deterministic per-request seeds this is always a prefix of
+        // its full output.
         res.tokens = session->generated();
         res.stats = session->stats();
     }
     res.stopReason = reason;
     res.arrivalIteration = req.arrivalIteration;
-    res.startIteration =
-        session != nullptr ? start_iteration : stats_.iterations;
+    res.startIteration = start_iteration;
     res.finishIteration = stats_.iterations;
     res.preemptions = req.preemptionCount;
     res.priority = req.priority;
     stats_.tokensGenerated += res.tokens.size();
     ++stats_.requestsFinished;
-    if (obs_ != nullptr && obs_->tracer().enabled())
-        obs_->tracer().instant(
-            res.id, "serving", "finish", obs_->nowNanos(),
-            {{"stop", static_cast<int64_t>(res.stopReason)},
-             {"tokens", static_cast<int64_t>(res.tokens.size())}});
-    if (journal_)
-        journalFinish(res);
+    switch (reason) {
+      case core::SpecSession::StopReason::Cancelled:
+        ++stats_.cancellations;
+        break;
+      case core::SpecSession::StopReason::Deadline:
+        ++stats_.deadlineExpiries;
+        break;
+      case core::SpecSession::StopReason::Shed:
+        ++stats_.shedRequests;
+        ++stats_.shedByClass[static_cast<size_t>(req.priority)];
+        break;
+      case core::SpecSession::StopReason::Preempted:
+        // The preemption that exhausted the retry budget.
+        ++res.preemptions;
+        ++stats_.preemptions;
+        ++stats_.preemptionAborts;
+        break;
+      default:
+        break;
+    }
     finished_.push_back(std::move(res));
 }
 
 void
-RequestManager::requeuePreempted(Request &&req,
-                                 const core::SpecSession *session)
+RequestManager::preempt(size_t index)
 {
-    ++req.preemptionCount;
+    const uint64_t id = active_[index].request.id;
     if (cfg_.maxPreemptions > 0 &&
-        req.preemptionCount > cfg_.maxPreemptions) {
+        active_[index].request.preemptionCount >= cfg_.maxPreemptions) {
         // Retry budget exhausted: fail cleanly instead of cycling
         // through the pool forever.
-        ++stats_.preemptionAborts;
-        finishAborted(std::move(req), session, stats_.iterations,
-                      core::SpecSession::StopReason::Preempted);
+        commitFinish(id, core::SpecSession::StopReason::Preempted);
         return;
     }
-    // Jittered exponential backoff on re-admission: a request that
-    // keeps losing its memory waits out the contention instead of
-    // immediately re-stealing what it just lost, and the seeded
-    // jitter keeps a cohort of preempted requests from re-colliding
-    // in lockstep when their identical windows expire together.
-    const size_t backoff = jitteredBackoff(req.preemptionCount);
-    req.earliestRestart = stats_.iterations + backoff;
+    JournalRecord rec;
+    rec.type = RecordType::Preempt;
+    rec.id = id;
+    commit(rec);
     if (obs_ != nullptr && obs_->tracer().enabled()) {
         // Restart the queue-wait clock: the next queue span covers
         // the backoff wait, not the request's whole lifetime.
+        Request &req = pending_.front();
         req.submitNanos = obs_->nowNanos();
         obs_->tracer().instant(
             req.id, "serving", "preempt", req.submitNanos,
             {{"count", static_cast<int64_t>(req.preemptionCount)},
-             {"backoff", static_cast<int64_t>(backoff)}});
+             {"backoff", static_cast<int64_t>(req.earliestRestart -
+                                              stats_.iterations)}});
     }
-    if (journal_) {
-        JournalRecord rec;
-        rec.type = RecordType::Preempt;
-        rec.id = req.id;
-        rec.preemptionCount = req.preemptionCount;
-        rec.earliestRestart = req.earliestRestart;
-        journal_->append(rec);
-    }
-    pending_.push_front(std::move(req));
     if (cfg_.maxPendingRequests > 0 &&
         pending_.size() > cfg_.maxPendingRequests) {
         // The requeue overflowed the bounded queue; shed the
         // lowest-class latest-arrival request to restore the bound.
-        shedPending(shedVictimIndex());
+        commitFinish(pending_[shedVictimIndex()].id,
+                     core::SpecSession::StopReason::Shed);
     }
 }
 
@@ -624,11 +641,7 @@ RequestManager::preemptLowestClass(uint64_t requester_id,
         return kNoVictim;
     // Release memory and requeue for a fresh (recomputed) start;
     // seeding by request id keeps the eventual output identical.
-    kvPool_->release(active_[victim].request.id);
-    ++stats_.preemptions;
-    requeuePreempted(std::move(active_[victim].request),
-                     &active_[victim].session);
-    active_.erase(active_.begin() + static_cast<ptrdiff_t>(victim));
+    preempt(victim);
     return victim;
 }
 
@@ -650,80 +663,57 @@ void
 RequestManager::expirePendingDeadlines()
 {
     for (size_t j = 0; j < pending_.size();) {
-        Request &req = pending_[j];
-        if (deadlineExpired(req)) {
-            ++stats_.deadlineExpiries;
-            Request dead = std::move(req);
-            pending_.erase(pending_.begin() +
-                           static_cast<ptrdiff_t>(j));
-            finishAborted(std::move(dead), nullptr, stats_.iterations,
-                          core::SpecSession::StopReason::Deadline);
-        } else {
+        if (deadlineExpired(pending_[j]))
+            commitFinish(pending_[j].id,
+                         core::SpecSession::StopReason::Deadline);
+        else
             ++j;
-        }
     }
 }
 
 bool
 RequestManager::cancel(uint64_t id)
 {
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-        if (it->id != id)
-            continue;
-        Request req = std::move(*it);
-        pending_.erase(it);
-        ++stats_.cancellations;
-        finishAborted(std::move(req), nullptr, stats_.iterations,
-                      core::SpecSession::StopReason::Cancelled);
-        return true;
-    }
-    for (size_t i = 0; i < active_.size(); ++i) {
-        if (active_[i].request.id != id)
-            continue;
-        if (kvPool_)
-            kvPool_->release(id);
-        ++stats_.cancellations;
-        finishAborted(std::move(active_[i].request),
-                      &active_[i].session, active_[i].startIteration,
-                      core::SpecSession::StopReason::Cancelled);
-        active_.erase(active_.begin() + static_cast<ptrdiff_t>(i));
-        return true;
-    }
-    return false;
+    if (activeIndex(id) == active_.size() &&
+        pendingIndex(id) == pending_.size())
+        return false;
+    commitFinish(id, core::SpecSession::StopReason::Cancelled);
+    return true;
 }
 
-void
-RequestManager::updateDegradation(bool speculation_ran,
-                                  bool fault_seen)
+DegradationState
+RequestManager::updateDegradation(size_t iteration) const
 {
-    if (cfg_.degradeAfterConsecutiveFaults == 0 || !speculation_ran)
-        return;
-    if (fault_seen) {
-        degr_.cleanIterations = 0;
-        if (++degr_.consecutiveFaults <
+    DegradationState next = degr_;
+    if (cfg_.degradeAfterConsecutiveFaults == 0 ||
+        !iter_.speculationRan)
+        return next;
+    if (iter_.faultSeen) {
+        next.cleanIterations = 0;
+        if (++next.consecutiveFaults <
             cfg_.degradeAfterConsecutiveFaults)
-            return;
-        degr_.currentBackoff =
-            degr_.currentBackoff == 0
+            return next;
+        next.currentBackoff =
+            next.currentBackoff == 0
                 ? cfg_.degradeBackoffIterations
-                : std::min(degr_.currentBackoff * 2,
+                : std::min(next.currentBackoff * 2,
                            cfg_.degradeBackoffMax);
-        degr_.reenableIteration =
-            stats_.iterations + degr_.currentBackoff;
-        degr_.speculationDisabled = true;
-        ++degr_.disableEpisodes;
-        degr_.consecutiveFaults = 0;
+        next.reenableIteration = iteration + next.currentBackoff;
+        next.speculationDisabled = true;
+        ++next.disableEpisodes;
+        next.consecutiveFaults = 0;
         SPECINFER_WARN("degradation: speculation disabled for "
-                       << degr_.currentBackoff
+                       << next.currentBackoff
                        << " iterations after repeated SSM faults");
     } else {
-        degr_.consecutiveFaults = 0;
+        next.consecutiveFaults = 0;
         // A fault-free stretch as long as the trigger resets the
         // backoff ladder.
-        if (++degr_.cleanIterations >=
+        if (++next.cleanIterations >=
             cfg_.degradeAfterConsecutiveFaults)
-            degr_.currentBackoff = 0;
+            next.currentBackoff = 0;
     }
+    return next;
 }
 
 void
@@ -741,6 +731,163 @@ RequestManager::forceDegrade(size_t backoff_iterations)
 }
 
 void
+RequestManager::admitPending()
+{
+    // Static batching only admits into an idle engine; continuous
+    // batching admits whenever a slot is free. With a KV pool,
+    // admission additionally requires a memory reservation.
+    if (cfg_.policy == SchedulingPolicy::Static && !active_.empty())
+        return;
+    while (active_.size() < cfg_.maxBatchSize) {
+        // Priority-aware head-of-line: the highest class admits
+        // first (queue order within a class), so an Interactive
+        // arrival overtakes queued Batch work. Preempted requests
+        // in their backoff window are skipped (later arrivals may
+        // overtake them) but keep their eviction priority; with
+        // every request in the default class this degenerates to
+        // the original FCFS scan.
+        size_t j = pending_.size();
+        for (size_t k = 0; k < pending_.size(); ++k) {
+            if (pending_[k].earliestRestart > stats_.iterations)
+                continue;
+            if (j == pending_.size() ||
+                pending_[k].priority < pending_[j].priority)
+                j = k;
+        }
+        if (j == pending_.size())
+            break;
+        const Request &cand = pending_[j];
+        if (kvPool_) {
+            // A full pool at the admission probe is routine
+            // backpressure, not an allocation failure: gate on the
+            // read-only check so kv_alloc_failures counts genuine
+            // exhaustion events (see the on-demand growth path),
+            // never head-of-line waiting.
+            if (!kvPool_->canAdmit(cand.id, cand.prompt,
+                                   admissionTokens(cand),
+                                   cfg_.kvPrefixSharing))
+                break; // pool full; retry next iteration
+            // An injected allocation fault still delays admission
+            // exactly like pool pressure would.
+            if (util::faultAtKeyed(
+                    util::FaultPoint::KvAlloc,
+                    kvFaultKey(cand.id, stats_.iterations)))
+                break;
+        }
+        if (obs_ != nullptr && obs_->tracer().enabled() &&
+            cand.submitNanos != 0)
+            // Queue wait ends at admission; re-admissions after a
+            // preemption produce a second queue span.
+            obs_->tracer().span(
+                cand.id, "serving", "queue", cand.submitNanos,
+                obs_->nowNanos(),
+                {{"preemptions",
+                  static_cast<int64_t>(cand.preemptionCount)}});
+        // Admit is the one record completed by applying it: the
+        // prefix rows the new session adopts come from the live
+        // payload store, which a recovering manager does not have,
+        // so the adopted level is journaled for replay to recompute
+        // up to (see recover()).
+        JournalRecord rec;
+        rec.type = RecordType::Admit;
+        rec.id = cand.id;
+        apply(rec);
+        rec.adoptedTokens = active_.back().session.cachedTokens();
+        if (journal_)
+            journal_->append(rec);
+        if (rec.adoptedTokens > 0 && obs_ != nullptr &&
+            obs_->tracer().enabled())
+            obs_->tracer().instant(
+                rec.id, "serving", "prefix_adopt", obs_->nowNanos(),
+                {{"tokens", static_cast<int64_t>(rec.adoptedTokens)}});
+    }
+}
+
+void
+RequestManager::beginIteration()
+{
+    // One wall-clock reading per iteration: every wall-deadline
+    // decision this iteration compares against it, keeping the
+    // number of clock reads independent of queue contents (a
+    // ManualClock schedule stays aligned across recovery).
+    nowNanos_ = obs_ != nullptr ? obs_->nowNanos() : 0;
+    // Requests whose deadline expired while queued fail before
+    // consuming a batch slot.
+    expirePendingDeadlines();
+    admitPending();
+    JournalRecord rec;
+    rec.type = RecordType::Begin;
+    rec.iteration = stats_.iterations;
+    rec.iterNanos = nowNanos_;
+    // Injected straggler: the iteration clock jumps forward,
+    // consuming deadline budget exactly as a slow iteration would.
+    rec.iterSlow = !active_.empty() &&
+                   util::faultAt(util::FaultPoint::SlowIteration);
+    commit(rec);
+}
+
+bool
+RequestManager::stepActive(size_t index, bool allow_speculation)
+{
+    core::SpecSession &session = active_[index].session;
+    const size_t seq_before = session.sequence().size();
+    const size_t generated_before = session.logProbs().size();
+    session.step(allow_speculation);
+    const std::vector<int> &seq = session.sequence();
+    const std::vector<float> &lps = session.logProbs();
+    JournalRecord rec;
+    rec.type = RecordType::Step;
+    rec.id = active_[index].request.id;
+    rec.tokens.assign(seq.begin() + static_cast<ptrdiff_t>(seq_before),
+                      seq.end());
+    rec.logProbs.assign(
+        lps.begin() + static_cast<ptrdiff_t>(generated_before),
+        lps.end());
+    rec.step = session.stats().steps.back();
+    rec.rngAfter = session.rngCursor();
+    rec.sessionDone = session.done();
+    rec.stopReason = static_cast<uint8_t>(session.stopReason());
+    // Crash points around the write-ahead append. Before: the
+    // process dies *during* the append, leaving a torn record (the
+    // step is lost and will recompute deterministically after
+    // recovery). After: the record is durable but nothing past it
+    // is — the worst case for replay, the step committed to the
+    // journal only.
+    const bool torn = journal_ && util::faultAt(util::FaultPoint::Crash);
+    if (torn)
+        journal_->tearNextAppend();
+    commit(rec);
+    if (stepObserver_ && !rec.tokens.empty())
+        stepObserver_(rec.id, generated_before, rec.tokens);
+    if (torn || (journal_ && util::faultAt(util::FaultPoint::Crash))) {
+        noteCrash();
+        return false;
+    }
+    return true;
+}
+
+void
+RequestManager::commitIteration()
+{
+    JournalRecord rec;
+    rec.type = RecordType::Iteration;
+    rec.iteration = stats_.iterations + 1;
+    const DegradationState next = updateDegradation(rec.iteration);
+    rec.degrSpeculationDisabled = next.speculationDisabled ? 1 : 0;
+    rec.degrConsecutiveFaults = next.consecutiveFaults;
+    rec.degrCleanIterations = next.cleanIterations;
+    rec.degrCurrentBackoff = next.currentBackoff;
+    rec.degrReenableIteration = next.reenableIteration;
+    rec.degrDisableEpisodes = next.disableEpisodes;
+    commit(rec);
+    // Opt-in durability: harden the whole iteration's records at
+    // the commit boundary (one fdatasync per iteration, not per
+    // record — see ServingConfig::journalFsync).
+    if (journal_ && cfg_.journalFsync)
+        journal_->sync();
+}
+
+void
 RequestManager::runIteration()
 {
     if (crashed_)
@@ -753,150 +900,12 @@ RequestManager::runIteration()
         noteCrash();
         return;
     }
-
-    // Resuming a half-journaled iteration after recovery: reuse the
-    // clock reading the crashed process journaled in its Begin
-    // record, so every deadline decision in the resumed half sees
-    // the same timestamp the uninterrupted run would have.
-    const bool resuming = resumeIteration_;
-    resumeIteration_ = false;
-    const uint64_t iter_start =
-        resuming ? nowNanos_
-                 : (obs_ != nullptr ? obs_->nowNanos() : 0);
-    // One wall-clock reading per iteration: every wall-deadline
-    // decision this iteration compares against it, keeping the
-    // number of clock reads independent of queue contents (a
-    // ManualClock schedule stays aligned across recovery).
-    nowNanos_ = iter_start;
-    if (journal_)
-        journalBegin();
-    auto obsIterationEnd = [&](size_t batch) {
-        if (obs_ == nullptr)
-            return;
-        const uint64_t end = obs_->nowNanos();
-        hIterMillis_->observe(
-            static_cast<double>(end - iter_start) / 1.0e6);
-        if (obs_->tracer().enabled())
-            obs_->tracer().span(
-                0, "serving", "iteration", iter_start, end,
-                {{"batch", static_cast<int64_t>(batch)},
-                 {"iteration",
-                  static_cast<int64_t>(stats_.iterations)}});
-        publishMetrics();
-    };
-
-    // Degradation ladder: re-enable speculation when the backoff
-    // window has elapsed.
-    if (degr_.speculationDisabled &&
-        stats_.iterations >= degr_.reenableIteration) {
-        degr_.speculationDisabled = false;
-        SPECINFER_INFO("degradation: speculation re-enabled");
-    }
-
-    // Requests whose deadline expired while queued fail before
-    // consuming a batch slot.
-    expirePendingDeadlines();
-
-    // Admit pending requests into the free batch slots. Static
-    // batching only admits into an idle engine; continuous batching
-    // admits whenever a slot is free. With a KV pool, admission
-    // additionally requires a memory reservation. Preempted
-    // requests in their backoff window are skipped (later arrivals
-    // may overtake them) but keep their FCFS eviction priority.
-    const bool may_admit =
-        cfg_.policy == SchedulingPolicy::Continuous ||
-        active_.empty();
-    // When resuming, Admit replay already rebuilt exactly the batch
-    // the crashed process admitted; running admission again here
-    // would fill slots that only freed up mid-iteration (retired
-    // requests), starting those requests one clock tick earlier
-    // than the uninterrupted run would have.
-    if (may_admit && !resuming) {
-        while (active_.size() < cfg_.maxBatchSize) {
-            // Priority-aware head-of-line: the highest class admits
-            // first (queue order within a class), so an Interactive
-            // arrival overtakes queued Batch work. Preempted
-            // requests in their backoff window are skipped (later
-            // arrivals may overtake them) but keep their eviction
-            // priority; with every request in the default class
-            // this degenerates to the original FCFS scan.
-            size_t j = pending_.size();
-            for (size_t k = 0; k < pending_.size(); ++k) {
-                if (pending_[k].earliestRestart > stats_.iterations)
-                    continue;
-                if (j == pending_.size() ||
-                    pending_[k].priority < pending_[j].priority)
-                    j = k;
-            }
-            if (j == pending_.size())
-                break;
-            Request &cand = pending_[j];
-            if (kvPool_) {
-                // A full pool at the admission probe is routine
-                // backpressure, not an allocation failure: gate on
-                // the read-only check so kv_alloc_failures counts
-                // genuine exhaustion events (see the on-demand
-                // growth path), never head-of-line waiting.
-                if (!kvPool_->canAdmit(cand.id, cand.prompt,
-                                       admissionTokens(cand),
-                                       cfg_.kvPrefixSharing))
-                    break; // pool full; retry next iteration
-                // An injected allocation fault still delays
-                // admission exactly like pool pressure would.
-                if (util::faultAtKeyed(
-                        util::FaultPoint::KvAlloc,
-                        kvFaultKey(cand.id, stats_.iterations)))
-                    break;
-            }
-            Request req = std::move(cand);
-            pending_.erase(pending_.begin() +
-                           static_cast<ptrdiff_t>(j));
-            if (req.preemptionCount > 0)
-                ++stats_.preemptionRetries;
-            if (obs_ != nullptr && obs_->tracer().enabled() &&
-                req.submitNanos != 0)
-                // Queue wait ends at admission; re-admissions after
-                // a preemption produce a second queue span.
-                obs_->tracer().span(
-                    req.id, "serving", "queue", req.submitNanos,
-                    obs_->nowNanos(),
-                    {{"preemptions", static_cast<int64_t>(
-                                         req.preemptionCount)}});
-            core::SpecSession session = engine_->makeSession(
-                req.prompt, req.id, req.maxNewTokens);
-            uint64_t cow_pending = 0;
-            if (kvPool_)
-                cow_pending = admitKv(req, &session);
-            active_.push_back({std::move(req), std::move(session),
-                               stats_.iterations, cow_pending});
-            if (journal_)
-                journalAdmit(active_.back().request.id,
-                             active_.back().session.cachedTokens());
-        }
-    }
-    if (active_.empty()) {
-        // Nothing runnable; still counts as a scheduling tick so
-        // arrival bookkeeping stays monotone.
-        if (cfg_.captureBatchTrace)
-            stats_.batchSizeTrace.push_back(0);
-        ++stats_.iterations;
-        if (journal_)
-            journalIteration(false, false);
-        obsIterationEnd(0);
-        return;
-    }
-    if (cfg_.captureBatchTrace)
-        stats_.batchSizeTrace.push_back(active_.size());
-    const size_t batch_size = active_.size();
-
-    // Injected straggler: the iteration clock jumps forward,
-    // consuming deadline budget exactly as a slow iteration would.
-    bool slow_iteration = false;
-    if (util::faultAt(util::FaultPoint::SlowIteration)) {
-        slow_iteration = true;
-        ++stats_.slowIterations;
-        stats_.iterations += cfg_.slowIterationPenalty;
-    }
+    // An iteration is already open only when recovery applied its
+    // Begin but not its commit: resume it instead of beginning a
+    // new one.
+    if (!iter_.open)
+        beginIteration();
+    const uint64_t iter_start = nowNanos_;
 
     // One decoding iteration per active request (iteration-level
     // scheduling: requests at different progress advance together).
@@ -905,53 +914,40 @@ RequestManager::runIteration()
     // preempted and restarted later (vLLM-style recompute), within
     // its retry budget.
     const bool allow_spec = !degr_.speculationDisabled;
-    // A resumed iteration seeds the degradation evidence with what
-    // replay saw in the already-journaled steps, so the commit feeds
-    // updateDegradation the same signals the crashed process had.
-    bool speculation_ran = resuming && resumeSpecRan_;
-    bool fault_seen = resuming && resumeFaultSeen_;
-    resumeSpecRan_ = false;
-    resumeFaultSeen_ = false;
     for (size_t i = 0; i < active_.size();) {
-        // Replay already applied this request's step for the
-        // iteration being resumed (its Step record was durable);
-        // re-running it would double-step the session.
+        // Already stepped in this (resumed) iteration.
         if (active_[i].steppedThisIteration) {
-            active_[i].steppedThisIteration = false;
             ++i;
             continue;
         }
-        Request &req = active_[i].request;
-        if (deadlineExpired(req)) {
-            ++stats_.deadlineExpiries;
-            if (kvPool_)
-                kvPool_->release(req.id);
-            finishAborted(std::move(req), &active_[i].session,
-                          active_[i].startIteration,
-                          core::SpecSession::StopReason::Deadline);
-            active_.erase(active_.begin() +
-                          static_cast<ptrdiff_t>(i));
+        const uint64_t id = active_[i].request.id;
+        if (deadlineExpired(active_[i].request)) {
+            commitFinish(id, core::SpecSession::StopReason::Deadline);
             continue;
         }
-        const uint64_t id = req.id;
-        const Priority cls = req.priority;
         if (kvPool_ &&
             cfg_.kvPolicy == KvReservationPolicy::OnDemand) {
             const size_t need = active_[i].session.sequence().size() +
                                 engine_->treeBudget() + 2;
-            // canReserve gates the fallible call so backpressure
-            // resolved by preemption never counts as an allocation
-            // failure; tryReserve still interposes the fault point.
-            bool ok = kvPool_->canReserve(id, need) &&
-                      tryReserve(id, need);
+            // canReserve gates the growth so backpressure resolved
+            // by preemption never counts as an allocation failure;
+            // an injected allocation fault is indistinguishable from
+            // pool pressure. apply(Step) makes the reservation.
+            auto can_grow = [&] {
+                return kvPool_->canReserve(id, need) &&
+                       !util::faultAtKeyed(
+                           util::FaultPoint::KvAlloc,
+                           kvFaultKey(id, stats_.iterations));
+            };
+            bool ok = can_grow();
             while (!ok) {
-                size_t erased = preemptLowestClass(id, cls);
+                const size_t erased = preemptLowestClass(
+                    id, active_[i].request.priority);
                 if (erased == kNoVictim)
                     break;
                 if (erased < i)
                     --i; // our element shifted left
-                ok = kvPool_->canReserve(id, need) &&
-                     tryReserve(id, need);
+                ok = can_grow();
             }
             if (!ok) {
                 // Genuine exhaustion: no victim left to preempt and
@@ -963,115 +959,46 @@ RequestManager::runIteration()
                 // Last resort: preempt this request itself (it will
                 // restart when memory frees, or fail cleanly once
                 // its retry budget runs out).
-                kvPool_->release(id);
-                ++stats_.preemptions;
-                requeuePreempted(std::move(active_[i].request),
-                                 &active_[i].session);
-                active_.erase(active_.begin() +
-                              static_cast<ptrdiff_t>(i));
+                preempt(i);
                 continue;
             }
         }
-        const size_t seq_before = active_[i].session.sequence().size();
-        const size_t lp_before = active_[i].session.logProbs().size();
-        active_[i].session.step(allow_spec);
-        // First write past the divergence point of a partially
-        // shared block: release the shared reference — the private
-        // block charged at admission owns those positions now.
-        settleCow(active_[i]);
-        if (stepObserver_) {
-            // logProbs() is parallel to generated(), so lp_before is
-            // the pre-step generated length: everything past it is
-            // this step's freshly committed tokens.
-            const std::vector<int> gen =
-                active_[i].session.generated();
-            if (gen.size() > lp_before)
-                stepObserver_(active_[i].request.id, lp_before,
-                              std::vector<int>(
-                                  gen.begin() +
-                                      static_cast<ptrdiff_t>(
-                                          lp_before),
-                                  gen.end()));
-        }
-        ++stats_.requestIterations;
-        const core::StepRecord &last =
-            active_[i].session.stats().steps.back();
-        if (!last.prefill && allow_spec) {
-            speculation_ran = true;
-            if (last.fallback) {
-                fault_seen = true;
-                ++stats_.fallbackSteps;
-            }
-        }
-        if (journal_) {
-            // Crash points around the write-ahead append. Before:
-            // the process dies *during* the append, leaving a torn
-            // record (the step is lost and will recompute
-            // deterministically after recovery). After: the record
-            // is durable but nothing past it is — the worst case
-            // for replay, the step committed to the journal only.
-            const bool torn = util::faultAt(util::FaultPoint::Crash);
-            if (torn)
-                journal_->tearNextAppend();
-            journalStep(i, seq_before, lp_before);
-            if (torn || util::faultAt(util::FaultPoint::Crash)) {
-                noteCrash();
-                return;
-            }
-        }
+        if (!stepActive(i, allow_spec))
+            return;
         ++i;
     }
-    if (!allow_spec)
-        ++stats_.degradedIterations;
-    ++stats_.iterations;
-    updateDegradation(speculation_ran, fault_seen);
 
     // Retire finished requests; their slots free up immediately.
     for (size_t i = 0; i < active_.size();) {
-        if (!active_[i].session.done()) {
+        if (active_[i].session.done())
+            commitFinish(active_[i].request.id,
+                         active_[i].session.stopReason());
+        else
             ++i;
-            continue;
-        }
-        ActiveRequest &ar = active_[i];
-        RequestResult res;
-        res.id = ar.request.id;
-        res.tokens = ar.session.generated();
-        res.stats = ar.session.stats();
-        res.stopReason = ar.session.stopReason();
-        res.arrivalIteration = ar.request.arrivalIteration;
-        res.startIteration = ar.startIteration;
-        res.finishIteration = stats_.iterations - 1;
-        res.preemptions = ar.request.preemptionCount;
-        res.priority = ar.request.priority;
-        stats_.tokensGenerated += res.tokens.size();
-        ++stats_.requestsFinished;
-        if (kvPool_)
-            kvPool_->release(res.id);
-        if (obs_ != nullptr && obs_->tracer().enabled())
-            obs_->tracer().instant(
-                res.id, "serving", "finish", obs_->nowNanos(),
-                {{"stop", static_cast<int64_t>(res.stopReason)},
-                 {"tokens",
-                  static_cast<int64_t>(res.tokens.size())}});
-        if (journal_)
-            journalFinish(res);
-        finished_.push_back(std::move(res));
-        active_.erase(active_.begin() + static_cast<ptrdiff_t>(i));
     }
 
-    if (journal_) {
-        // Crash point: everything this iteration journaled but the
-        // iteration commit itself lost — recovery resumes the
-        // iteration (Begin record), skips the already-replayed
-        // steps, and commits, so even wall-clock deadlines land at
-        // the same session progress as the uninterrupted run.
-        if (util::faultAt(util::FaultPoint::Crash)) {
-            noteCrash();
-            return;
-        }
-        journalIteration(!allow_spec, slow_iteration);
+    // Crash point: everything this iteration journaled but its
+    // commit — recovery leaves the iteration open, the next
+    // runIteration resumes and commits it, so even wall-clock
+    // deadlines land at the same session progress as the
+    // uninterrupted run.
+    if (journal_ && util::faultAt(util::FaultPoint::Crash)) {
+        noteCrash();
+        return;
     }
-    obsIterationEnd(batch_size);
+    const size_t batch = iter_.batch;
+    commitIteration();
+    if (obs_ == nullptr)
+        return;
+    const uint64_t end = obs_->nowNanos();
+    hIterMillis_->observe(static_cast<double>(end - iter_start) /
+                          1.0e6);
+    if (obs_->tracer().enabled())
+        obs_->tracer().span(
+            0, "serving", "iteration", iter_start, end,
+            {{"batch", static_cast<int64_t>(batch)},
+             {"iteration", static_cast<int64_t>(stats_.iterations)}});
+    publishMetrics();
 }
 
 void
@@ -1154,85 +1081,6 @@ RequestManager::publishMetrics()
 }
 
 void
-RequestManager::journalStep(size_t index, size_t seq_before,
-                            size_t log_probs_before)
-{
-    const ActiveRequest &ar = active_[index];
-    const std::vector<int> &seq = ar.session.sequence();
-    const std::vector<float> &lps = ar.session.logProbs();
-    JournalRecord rec;
-    rec.type = RecordType::Step;
-    rec.id = ar.request.id;
-    rec.tokens.assign(seq.begin() +
-                          static_cast<ptrdiff_t>(seq_before),
-                      seq.end());
-    rec.logProbs.assign(lps.begin() +
-                            static_cast<ptrdiff_t>(log_probs_before),
-                        lps.end());
-    rec.step = ar.session.stats().steps.back();
-    rec.rngAfter = ar.session.rngCursor();
-    rec.sessionDone = ar.session.done();
-    rec.stopReason = static_cast<uint8_t>(ar.session.stopReason());
-    journal_->append(rec);
-}
-
-void
-RequestManager::journalFinish(const RequestResult &res)
-{
-    JournalRecord rec;
-    rec.type = RecordType::Finish;
-    rec.id = res.id;
-    rec.stopReason = static_cast<uint8_t>(res.stopReason);
-    rec.arrivalIteration = res.arrivalIteration;
-    rec.startIteration = res.startIteration;
-    rec.finishIteration = res.finishIteration;
-    rec.preemptions = res.preemptions;
-    journal_->append(rec);
-}
-
-void
-RequestManager::journalIteration(bool degraded, bool slow)
-{
-    JournalRecord rec;
-    rec.type = RecordType::Iteration;
-    rec.iteration = stats_.iterations;
-    rec.iterDegraded = degraded ? 1 : 0;
-    rec.iterSlow = slow ? 1 : 0;
-    rec.degrSpeculationDisabled = degr_.speculationDisabled ? 1 : 0;
-    rec.degrConsecutiveFaults = degr_.consecutiveFaults;
-    rec.degrCleanIterations = degr_.cleanIterations;
-    rec.degrCurrentBackoff = degr_.currentBackoff;
-    rec.degrReenableIteration = degr_.reenableIteration;
-    rec.degrDisableEpisodes = degr_.disableEpisodes;
-    journal_->append(rec);
-    // Opt-in durability: harden the whole iteration's records at
-    // the commit boundary (one fdatasync per iteration, not per
-    // record — see ServingConfig::journalFsync).
-    if (cfg_.journalFsync)
-        journal_->sync();
-}
-
-void
-RequestManager::journalBegin()
-{
-    JournalRecord rec;
-    rec.type = RecordType::Begin;
-    rec.iteration = stats_.iterations;
-    rec.iterNanos = nowNanos_;
-    journal_->append(rec);
-}
-
-void
-RequestManager::journalAdmit(uint64_t id, uint64_t adopted_tokens)
-{
-    JournalRecord rec;
-    rec.type = RecordType::Admit;
-    rec.id = id;
-    rec.adoptedTokens = adopted_tokens;
-    journal_->append(rec);
-}
-
-void
 RequestManager::attachJournal(JournalWriter *journal)
 {
     journal_ = journal;
@@ -1292,9 +1140,7 @@ RequestManager::writeSnapshot(std::ostream &out) const
         writePod<uint64_t>(out, bucketLevel_[cls]);
         writePod<uint64_t>(out, bucketRefillIteration_[cls]);
     }
-    writePod<uint64_t>(out, stats_.batchSizeTrace.size());
-    for (size_t b : stats_.batchSizeTrace)
-        writePod<uint64_t>(out, b);
+    writePod<uint64_t>(out, stats_.lastBatchSize);
 
     writePod<uint8_t>(out, degr_.speculationDisabled ? 1 : 0);
     writePod<uint64_t>(out, degr_.consecutiveFaults);
@@ -1303,13 +1149,14 @@ RequestManager::writeSnapshot(std::ostream &out) const
     writePod<uint64_t>(out, degr_.reenableIteration);
     writePod<uint64_t>(out, degr_.disableEpisodes);
 
-    // Resume state (v6): a snapshot taken between a mid-iteration
+    // Open iteration: a snapshot taken between a mid-iteration
     // recovery and the next runIteration must hand the resumed
     // iteration its journaled clock reading and step evidence.
-    writePod<uint8_t>(out, resumeIteration_ ? 1 : 0);
+    writePod<uint8_t>(out, iter_.open ? 1 : 0);
     writePod<uint64_t>(out, nowNanos_);
-    writePod<uint8_t>(out, resumeSpecRan_ ? 1 : 0);
-    writePod<uint8_t>(out, resumeFaultSeen_ ? 1 : 0);
+    writePod<uint64_t>(out, iter_.batch);
+    writePod<uint8_t>(out, iter_.speculationRan ? 1 : 0);
+    writePod<uint8_t>(out, iter_.faultSeen ? 1 : 0);
 
     // Backoff-jitter RNG cursor: recovery must resume with the same
     // draw sequence an uninterrupted run would have used, or
@@ -1369,25 +1216,8 @@ RequestManager::writeSnapshot(std::ostream &out) const
 }
 
 void
-RequestManager::applyRecord(const JournalRecord &rec)
+RequestManager::apply(const JournalRecord &rec)
 {
-    auto findActive = [this](uint64_t id) {
-        for (size_t i = 0; i < active_.size(); ++i)
-            if (active_[i].request.id == id)
-                return i;
-        return active_.size();
-    };
-    auto takePending = [this](uint64_t id, Request &out) {
-        for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-            if (it->id != id)
-                continue;
-            out = std::move(*it);
-            pending_.erase(it);
-            return true;
-        }
-        return false;
-    };
-
     switch (rec.type) {
       case RecordType::Submit: {
         Request req;
@@ -1398,10 +1228,8 @@ RequestManager::applyRecord(const JournalRecord &rec)
         req.deadlineIterations = rec.deadlineIterations;
         req.deadlineNanos = rec.deadlineNanos;
         req.priority = static_cast<Priority>(rec.priority);
-        // Journaled Submits are exactly the accepted ones, so
-        // replay re-consumes the same ingress token the live
-        // submit did (the iteration clock is replay-aligned, so
-        // the lazy refill lands on the same level too).
+        // The iteration clock is the same on both paths, so the lazy
+        // refill lands on the same bucket level.
         consumeBucketToken(req.priority);
         nextId_ = std::max(nextId_, rec.id + 1);
         pending_.push_back(std::move(req));
@@ -1409,68 +1237,71 @@ RequestManager::applyRecord(const JournalRecord &rec)
         break;
       }
 
-      case RecordType::Step: {
-        size_t idx = findActive(rec.id);
-        if (idx == active_.size()) {
-            // First journaled step ⇒ the request was admitted this
-            // iteration: move it out of pending and reserve its
-            // admission memory, exactly as live admission did.
-            Request req;
-            SPECINFER_CHECK(takePending(rec.id, req),
-                            "journal step for unknown request "
-                                << rec.id);
-            if (req.preemptionCount > 0)
-                ++stats_.preemptionRetries;
-            core::SpecSession session = engine_->makeSession(
-                req.prompt, req.id, req.maxNewTokens);
-            uint64_t cow_pending = 0;
-            // Replay re-runs the same admit (intern + reference +
-            // reserve) the live run performed; deterministic
-            // eviction means it cannot fail where live succeeded.
-            // Adoption is best-effort as always — a cold store just
-            // leaves the rows for the catch-up decode.
-            if (kvPool_)
-                cow_pending = admitKv(req, &session);
-            active_.push_back({std::move(req), std::move(session),
-                               stats_.iterations, cow_pending});
-            idx = active_.size() - 1;
+      case RecordType::Admit: {
+        const size_t j = pendingIndex(rec.id);
+        SPECINFER_CHECK(j < pending_.size(),
+                        "journal admit for non-pending request "
+                            << rec.id);
+        Request req = std::move(pending_[j]);
+        pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(j));
+        if (req.preemptionCount > 0)
+            ++stats_.preemptionRetries;
+        core::SpecSession session = engine_->makeSession(
+            req.prompt, req.id, req.maxNewTokens);
+        // Deterministic eviction means the admit cannot fail in
+        // replay where it succeeded live. Adoption is best-effort:
+        // a cold store leaves the rows to recompute.
+        const uint64_t cow_pending =
+            kvPool_ ? admitKv(req, &session) : 0;
+        active_.push_back({std::move(req), std::move(session),
+                           stats_.iterations, cow_pending});
+        break;
+      }
+
+      case RecordType::Begin:
+        SPECINFER_CHECK(!iter_.open && rec.iteration == stats_.iterations,
+                        "journal begins iteration " << rec.iteration
+                                                    << " out of order");
+        // Re-enable speculation once the backoff window has elapsed.
+        if (degr_.speculationDisabled &&
+            stats_.iterations >= degr_.reenableIteration) {
+            degr_.speculationDisabled = false;
+            SPECINFER_INFO("degradation: speculation re-enabled");
         }
+        iter_.open = true;
+        iter_.batch = active_.size();
+        nowNanos_ = rec.iterNanos;
+        if (rec.iterSlow) {
+            ++stats_.slowIterations;
+            stats_.iterations += cfg_.slowIterationPenalty;
+        }
+        break;
+
+      case RecordType::Step: {
+        const size_t idx = activeIndex(rec.id);
+        SPECINFER_CHECK(idx < active_.size(),
+                        "journal step for non-active request "
+                            << rec.id);
         ActiveRequest &ar = active_[idx];
         if (kvPool_ &&
             cfg_.kvPolicy == KvReservationPolicy::OnDemand) {
-            const size_t need = ar.session.sequence().size() +
+            // The step's growth: its pre-step sequence plus a tree.
+            const size_t need = ar.session.sequence().size() -
+                                rec.tokens.size() +
                                 engine_->treeBudget() + 2;
-            SPECINFER_CHECK(kvPool_->reserve(ar.request.id, need),
-                            "replay KV growth failed for "
-                                << ar.request.id);
+            SPECINFER_CHECK(kvPool_->reserve(rec.id, need),
+                            "KV growth failed for " << rec.id);
         }
-        ar.session.restoreStep(
-            rec.tokens, rec.logProbs, rec.step, rec.rngAfter,
-            rec.sessionDone,
-            static_cast<core::SpecSession::StopReason>(
-                rec.stopReason));
-        // Mirror the live post-step copy-on-write release.
+        // First write past the divergence point of a partially
+        // shared block: release the shared reference — the private
+        // block charged at admission owns those positions now.
         settleCow(ar);
-        // Redo-recovery: bring the KV cache to the level the live
-        // run held after this step, so the session does not repeat
-        // prefill iterations after recovery (wall-clock deadlines
-        // would observe the delay). A prefill chunk re-absorbs the
-        // same chunk; a decode step leaves exactly the last token
-        // uncached (the next step's tree root).
-        if (!rec.sessionDone) {
-            if (rec.step.prefill)
-                ar.session.hydrateKv(ar.session.cachedTokens() +
-                                     rec.step.llmChunkTokens);
-            else
-                ar.session.hydrateKv(ar.session.sequence().size() -
-                                     1);
-        }
         ar.steppedThisIteration = true;
         ++stats_.requestIterations;
         if (!rec.step.prefill && !degr_.speculationDisabled) {
-            resumeSpecRan_ = true;
+            iter_.speculationRan = true;
             if (rec.step.fallback) {
-                resumeFaultSeen_ = true;
+                iter_.faultSeen = true;
                 ++stats_.fallbackSteps;
             }
         }
@@ -1478,144 +1309,66 @@ RequestManager::applyRecord(const JournalRecord &rec)
       }
 
       case RecordType::Preempt: {
-        Request req;
-        size_t idx = findActive(rec.id);
-        if (idx != active_.size()) {
-            req = std::move(active_[idx].request);
-            active_.erase(active_.begin() +
-                          static_cast<ptrdiff_t>(idx));
-        } else {
-            // Preempted before its first step was journaled: the
-            // request never left replay's pending queue.
-            SPECINFER_CHECK(takePending(rec.id, req),
-                            "journal preempt for unknown request "
-                                << rec.id);
-        }
-        if (kvPool_ && kvPool_->requestBlocks(rec.id) > 0)
-            kvPool_->release(rec.id);
-        // Consume the jitter draw the live run made so the RNG
-        // cursor stays aligned; the journaled restart window is
-        // authoritative.
-        (void)jitteredBackoff(rec.preemptionCount);
-        req.preemptionCount = rec.preemptionCount;
-        req.earliestRestart = rec.earliestRestart;
-        pending_.push_front(std::move(req));
+        const size_t idx = activeIndex(rec.id);
+        SPECINFER_CHECK(idx < active_.size(),
+                        "journal preempt for non-active request "
+                            << rec.id);
+        Request req = std::move(active_[idx].request);
+        active_.erase(active_.begin() + static_cast<ptrdiff_t>(idx));
+        if (kvPool_)
+            kvPool_->release(req.id);
         ++stats_.preemptions;
+        // Jittered exponential backoff on re-admission: a request
+        // that keeps losing its memory waits out the contention
+        // instead of immediately re-stealing what it just lost, and
+        // the seeded jitter keeps a cohort of preempted requests
+        // from re-colliding in lockstep.
+        ++req.preemptionCount;
+        req.earliestRestart =
+            stats_.iterations + jitteredBackoff(req.preemptionCount);
+        pending_.push_front(std::move(req));
         break;
       }
 
       case RecordType::Finish: {
-        RequestResult res;
-        res.id = rec.id;
-        res.stopReason =
-            static_cast<core::SpecSession::StopReason>(
-                rec.stopReason);
-        res.arrivalIteration = rec.arrivalIteration;
-        res.startIteration = rec.startIteration;
-        res.finishIteration = rec.finishIteration;
-        res.preemptions = rec.preemptions;
-        size_t idx = findActive(rec.id);
-        if (idx != active_.size()) {
-            res.tokens = active_[idx].session.generated();
-            res.stats = active_[idx].session.stats();
-            res.priority = active_[idx].request.priority;
+        const auto reason =
+            static_cast<core::SpecSession::StopReason>(rec.stopReason);
+        const size_t idx = activeIndex(rec.id);
+        if (idx < active_.size()) {
+            const ActiveRequest &ar = active_[idx];
+            if (kvPool_)
+                kvPool_->release(rec.id);
+            retire(ar.request, &ar.session, ar.startIteration, reason);
             active_.erase(active_.begin() +
                           static_cast<ptrdiff_t>(idx));
-        } else {
-            Request req;
-            SPECINFER_CHECK(takePending(rec.id, req),
-                            "journal finish for unknown request "
-                                << rec.id);
-            res.priority = req.priority;
-        }
-        if (kvPool_ && kvPool_->requestBlocks(rec.id) > 0)
-            kvPool_->release(rec.id);
-        stats_.tokensGenerated += res.tokens.size();
-        ++stats_.requestsFinished;
-        switch (res.stopReason) {
-          case core::SpecSession::StopReason::Cancelled:
-            ++stats_.cancellations;
-            break;
-          case core::SpecSession::StopReason::Deadline:
-            ++stats_.deadlineExpiries;
-            break;
-          case core::SpecSession::StopReason::Shed:
-            ++stats_.shedRequests;
-            ++stats_.shedByClass[static_cast<size_t>(res.priority)];
-            break;
-          case core::SpecSession::StopReason::Preempted:
-            ++stats_.preemptionAborts;
-            ++stats_.preemptions;
-            break;
-          default:
             break;
         }
-        finished_.push_back(std::move(res));
+        const size_t j = pendingIndex(rec.id);
+        SPECINFER_CHECK(j < pending_.size(),
+                        "journal finish for unknown request " << rec.id);
+        retire(pending_[j], nullptr, stats_.iterations, reason);
+        pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(j));
         break;
       }
 
-      case RecordType::Iteration: {
-        stats_.iterations = rec.iteration;
-        if (rec.iterDegraded)
+      case RecordType::Iteration:
+        SPECINFER_CHECK(iter_.open, "journal commits iteration "
+                                        << rec.iteration
+                                        << " that never began");
+        if (iter_.batch > 0 && degr_.speculationDisabled)
             ++stats_.degradedIterations;
-        if (rec.iterSlow)
-            ++stats_.slowIterations;
-        degr_.speculationDisabled =
-            rec.degrSpeculationDisabled != 0;
+        stats_.iterations = rec.iteration;
+        stats_.lastBatchSize = iter_.batch;
+        degr_.speculationDisabled = rec.degrSpeculationDisabled != 0;
         degr_.consecutiveFaults = rec.degrConsecutiveFaults;
         degr_.cleanIterations = rec.degrCleanIterations;
         degr_.currentBackoff = rec.degrCurrentBackoff;
         degr_.reenableIteration = rec.degrReenableIteration;
         degr_.disableEpisodes = rec.degrDisableEpisodes;
-        // The iteration committed: close the in-flight window the
-        // Begin record opened.
-        resumeIteration_ = false;
-        resumeSpecRan_ = false;
-        resumeFaultSeen_ = false;
+        iter_ = OpenIteration{};
         for (ActiveRequest &ar : active_)
             ar.steppedThisIteration = false;
         break;
-      }
-
-      case RecordType::Begin: {
-        // An iteration began. Mirror the live-run speculation
-        // re-enable check first (same state, same clock), so replayed
-        // step evidence below classifies against the allow_spec the
-        // crashed process actually used. If no matching Iteration
-        // commit follows, the crash landed mid-iteration: the next
-        // runIteration resumes it with this journaled clock reading.
-        if (degr_.speculationDisabled &&
-            stats_.iterations >= degr_.reenableIteration)
-            degr_.speculationDisabled = false;
-        resumeIteration_ = true;
-        nowNanos_ = rec.iterNanos;
-        break;
-      }
-
-      case RecordType::Admit: {
-        // Re-run the same admission the crashed process journaled:
-        // out of pending, session built, KV reserved — but not yet
-        // stepped, so a resumed iteration runs its step live.
-        Request req;
-        SPECINFER_CHECK(takePending(rec.id, req),
-                        "journal admit for unknown request "
-                            << rec.id);
-        if (req.preemptionCount > 0)
-            ++stats_.preemptionRetries;
-        core::SpecSession session = engine_->makeSession(
-            req.prompt, req.id, req.maxNewTokens);
-        uint64_t cow_pending = 0;
-        if (kvPool_)
-            cow_pending = admitKv(req, &session);
-        // The crashed process may have adopted shared prefix rows
-        // from its warm store; the recovering store is cold, so
-        // recompute up to the journaled adoption level — identical
-        // rows, identical remaining prefill iterations.
-        session.hydrateKv(rec.adoptedTokens);
-        active_.push_back({std::move(req), std::move(session),
-                           stats_.iterations, cow_pending});
-        break;
-      }
 
       case RecordType::Header:
         break; // engine identity, for offline replay only
@@ -1684,12 +1437,7 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
             bucketRefillIteration_[cls] =
                 readPod<uint64_t>(*snapshot);
         }
-        uint64_t trace_len = readPod<uint64_t>(*snapshot);
-        SPECINFER_CHECK(trace_len < (1ull << 32),
-                        "implausible snapshot trace length");
-        stats_.batchSizeTrace.resize(trace_len);
-        for (uint64_t i = 0; i < trace_len; ++i)
-            stats_.batchSizeTrace[i] = readPod<uint64_t>(*snapshot);
+        stats_.lastBatchSize = readPod<uint64_t>(*snapshot);
 
         degr_.speculationDisabled =
             readPod<uint8_t>(*snapshot) != 0;
@@ -1699,10 +1447,11 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
         degr_.reenableIteration = readPod<uint64_t>(*snapshot);
         degr_.disableEpisodes = readPod<uint64_t>(*snapshot);
 
-        resumeIteration_ = readPod<uint8_t>(*snapshot) != 0;
+        iter_.open = readPod<uint8_t>(*snapshot) != 0;
         nowNanos_ = readPod<uint64_t>(*snapshot);
-        resumeSpecRan_ = readPod<uint8_t>(*snapshot) != 0;
-        resumeFaultSeen_ = readPod<uint8_t>(*snapshot) != 0;
+        iter_.batch = readPod<uint64_t>(*snapshot);
+        iter_.speculationRan = readPod<uint8_t>(*snapshot) != 0;
+        iter_.faultSeen = readPod<uint8_t>(*snapshot) != 0;
 
         util::RngState rng_state;
         for (uint64_t &word : rng_state.s)
@@ -1783,45 +1532,46 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
                            std::ios::cur);
         JournalReader reader(*journal);
         JournalRecord rec;
-        while (reader.next(rec))
-            applyRecord(rec);
+        while (reader.next(rec)) {
+            // The effect prelude, replay's only code of its own: the
+            // crashed process executed this step, so restore its
+            // tokens and RNG cursor instead of re-running the model,
+            // and bring the KV cache to the level the live run held
+            // after it, so the session does not repeat prefill
+            // iterations (wall-clock deadlines would observe the
+            // delay). A prefill chunk re-absorbs the same chunk; a
+            // decode step leaves exactly the last token uncached
+            // (the next step's tree root).
+            if (rec.type == RecordType::Step) {
+                const size_t idx = activeIndex(rec.id);
+                SPECINFER_CHECK(idx < active_.size(),
+                                "journal step for non-active request "
+                                    << rec.id);
+                core::SpecSession &session = active_[idx].session;
+                session.restoreStep(
+                    rec.tokens, rec.logProbs, rec.step, rec.rngAfter,
+                    rec.sessionDone,
+                    static_cast<core::SpecSession::StopReason>(
+                        rec.stopReason));
+                if (!rec.sessionDone)
+                    session.hydrateKv(
+                        rec.step.prefill
+                            ? session.cachedTokens() +
+                                  rec.step.llmChunkTokens
+                            : session.sequence().size() - 1);
+            }
+            apply(rec);
+            // The crashed process may have adopted shared prefix
+            // rows from its warm store; the recovering store is
+            // cold, so recompute up to the journaled adoption level
+            // — identical rows, identical remaining prefill
+            // iterations.
+            if (rec.type == RecordType::Admit)
+                active_.back().session.hydrateKv(rec.adoptedTokens);
+        }
         replayed = reader.bytesConsumed();
     }
 
-    // Sessions that finished in the crash iteration, after their
-    // Step record but before their Finish record: when the crash
-    // landed mid-iteration (Begin without its commit), the next
-    // runIteration resumes that iteration and retires them at the
-    // exact point the uninterrupted run would have — holding their
-    // KV through the remaining live steps, matching the crashed
-    // process's memory pressure. Only a boundary crash (no open
-    // Begin) retires them here.
-    for (size_t i = 0; resumeIteration_ == false &&
-                       i < active_.size();) {
-        if (!active_[i].session.done()) {
-            ++i;
-            continue;
-        }
-        ActiveRequest &ar = active_[i];
-        RequestResult res;
-        res.id = ar.request.id;
-        res.tokens = ar.session.generated();
-        res.stats = ar.session.stats();
-        res.stopReason = ar.session.stopReason();
-        res.arrivalIteration = ar.request.arrivalIteration;
-        res.startIteration = ar.startIteration;
-        res.finishIteration = stats_.iterations;
-        res.preemptions = ar.request.preemptionCount;
-        res.priority = ar.request.priority;
-        stats_.tokensGenerated += res.tokens.size();
-        ++stats_.requestsFinished;
-        if (kvPool_ && kvPool_->requestBlocks(res.id) > 0)
-            kvPool_->release(res.id);
-        if (journal_)
-            journalFinish(res);
-        finished_.push_back(std::move(res));
-        active_.erase(active_.begin() + static_cast<ptrdiff_t>(i));
-    }
     if (obs_ != nullptr) {
         obs_->metrics().counter("serving_recoveries")->inc();
         if (obs_->tracer().enabled())
@@ -1855,10 +1605,8 @@ JournalFile::open(bool resume)
         journal << in.rdbuf();
         const uint64_t size = journal.str().size();
         std::ifstream snap(path_ + ".snap", std::ios::binary);
-        // Recovered with no journal attached: the snapshot written
-        // below covers whatever recover() retires (its contract). A
-        // snapshot offset past the end (journal bytes lost with the
-        // page cache) leaves nothing to cut.
+        // A snapshot offset past the end (journal bytes lost with
+        // the page cache) leaves nothing to cut.
         recovered_ = std::min(
             manager_->recover(snap.good() ? &snap : nullptr, &journal),
             size);

@@ -8,6 +8,14 @@
  * active request, and retires requests that finished — so new
  * requests start decoding without waiting for the current batch to
  * drain, and finished requests leave immediately.
+ *
+ * The manager is event-sourced: every state change of an accepted
+ * request — submit, admit, iteration begin, decode step, preempt,
+ * finish, iteration commit — is a JournalRecord, and one transition
+ * function, apply(), turns records into state. Live serving decides
+ * with its policies, builds the record, appends it to the journal
+ * (when one is attached) and applies it; recovery restores a
+ * snapshot and only applies.
  */
 
 #ifndef SPECINFER_RUNTIME_REQUEST_MANAGER_H
@@ -194,12 +202,6 @@ struct ServingConfig
      */
     bool journalFsync = false;
 
-    /** Record per-iteration batch sizes in
-     *  ServingStats::batchSizeTrace. Off by default: the trace
-     *  grows linearly with iterations, which long-running soaks
-     *  cannot afford. */
-    bool captureBatchTrace = false;
-
     /**
      * Observability context (non-owning). Resolved against the
      * process-global context at construction (obs::resolveObs); when
@@ -221,11 +223,10 @@ struct ServingStats
     size_t requestIterations = 0;
     /** Requests preempted and restarted due to KV pool pressure. */
     size_t preemptions = 0;
-    /** Active batch size of every iteration, in order (0 = idle
+    /** Active batch size of the last committed iteration (0 = idle
      *  tick); lets callers price each iteration through a hardware
-     *  model. Only recorded when ServingConfig::captureBatchTrace
-     *  is set — the trace grows without bound otherwise. */
-    std::vector<size_t> batchSizeTrace;
+     *  model. */
+    size_t lastBatchSize = 0;
 
     // --- Failure / degradation observability ----------------------
 
@@ -342,7 +343,9 @@ class RequestManager
      */
     bool cancel(uint64_t id);
 
-    /** True while any request is pending or running. */
+    /** True while any request is pending or running, or an
+     *  iteration is open (recovery ended mid-iteration and its
+     *  commit is still owed). */
     bool busy() const;
 
     /**
@@ -387,11 +390,11 @@ class RequestManager
      * Per-step token stream observer: called once per committed
      * decode step that produced tokens, with the request id, the
      * index of the first new generated token, and the new tokens
-     * themselves — the hook the serving daemon streams responses
-     * from. Fires only for live decode steps, never during journal
-     * replay (a recovering daemon re-streams from generatedSoFar()
-     * instead, which keeps the stream idempotent). Pass nullptr to
-     * detach.
+     * themselves (the Step record's tokens) — the hook the serving
+     * daemon streams responses from. Fires only for live decode
+     * steps, never during journal replay (a recovering daemon
+     * re-streams from generatedSoFar() instead, which keeps the
+     * stream idempotent). Pass nullptr to detach.
      */
     using StepObserver = std::function<void(
         uint64_t id, size_t start, const std::vector<int> &tokens)>;
@@ -459,10 +462,10 @@ class RequestManager
 
     /**
      * Attach a write-ahead journal (non-owning; nullptr detaches).
-     * Once attached, every scheduling event — accepted submit,
-     * committed decode step (verified tokens + post-step RNG
-     * cursor), preemption, finish, committed iteration — is
-     * appended before the manager moves on, and the Crash fault
+     * Once attached, every record the manager applies — accepted
+     * submit, admission, iteration begin, committed decode step
+     * (verified tokens + post-step RNG cursor), preemption, finish,
+     * committed iteration — is appended first, and the Crash fault
      * point becomes live inside runIteration() (see crashed()).
      * Attaching appends a Header record naming the engine and
      * serving shape, so every process generation's records are
@@ -483,19 +486,18 @@ class RequestManager
     /**
      * Rebuild pre-crash state on a *fresh* manager (same engine and
      * config as the crashed one — the caller's responsibility):
-     * load the snapshot (if any), then replay the journal tail on
-     * top of it. Replay is pure bookkeeping — journaled steps are
-     * re-applied token-for-token with their stored RNG cursors, and
-     * KV caches rebuild lazily through the engine's catch-up path,
-     * so recovered outputs are bit-identical to an uninterrupted
-     * run. FCFS order, verified prefixes, preemption/backoff state,
-     * and KV pool holdings are all preserved; a torn tail record
-     * (crash mid-append) is discarded, and the lost step simply
-     * recomputes deterministically.
-     *
-     * Attach the post-recovery journal *before* calling recover()
-     * (or snapshot immediately after): results retired during
-     * replay are journaled to the attached writer.
+     * load the snapshot (if any), then apply the journal tail on
+     * top of it through the same transition function live serving
+     * uses. Replay re-runs no decode step: a Step record's tokens
+     * and RNG cursor are restored into the session before it is
+     * applied, and KV rows are recomputed to the level the live
+     * run held, so recovered outputs are bit-identical to an
+     * uninterrupted run. A torn tail record (crash mid-append) is
+     * discarded, and the lost step simply recomputes
+     * deterministically. When the journal ends inside an iteration,
+     * that iteration stays open and the next runIteration() resumes
+     * it. Replay appends nothing: snapshot right after recovering
+     * (or keep appending to the same journal) before serving on.
      *
      * @param snapshot Snapshot stream, or nullptr to replay the
      *        whole journal from an empty manager.
@@ -537,10 +539,9 @@ class RequestManager
          *  the request's first step writes past the divergence
          *  point (0 = none pending). */
         uint64_t cowPending = 0;
-        /** Replay bookkeeping: this request already stepped in the
-         *  half-journaled iteration being resumed, so the resuming
-         *  runIteration must skip it (set by Step replay, cleared at
-         *  iteration commit). */
+        /** Stepped in the open iteration (set by apply(Step),
+         *  cleared by apply(Iteration)); a resumed iteration skips
+         *  it. */
         bool steppedThisIteration = false;
     };
 
@@ -564,29 +565,26 @@ class RequestManager
     size_t preemptLowestClass(uint64_t requester_id,
                               Priority requester_priority);
 
-    /** Reserve KV blocks, consulting the KvAlloc fault point; an
-     *  injected failure is indistinguishable from pool pressure. */
-    bool tryReserve(uint64_t id, size_t tokens);
-
     /** Jittered exponential re-admission backoff for the given
      *  preemption count: base 2^count capped at preemptBackoffCap,
      *  plus a seeded uniform jitter in [0, base/2]. Consumes one
-     *  draw from backoffRng_ (replay consumes the same draw). */
+     *  draw from backoffRng_, inside apply(Preempt) on both paths. */
     size_t jitteredBackoff(size_t preemption_count);
 
-    /** Requeue a preempted request with exponential backoff, or
-     *  fail it cleanly when its retry budget is exhausted; sheds
-     *  the newest pending request if the requeue overflows a
-     *  bounded queue. */
-    void requeuePreempted(Request &&req,
-                          const core::SpecSession *session);
+    /** Preempt active_[index]: requeue it with backoff, or fail it
+     *  cleanly when its retry budget is exhausted; sheds the newest
+     *  pending request if the requeue overflows a bounded queue. */
+    void preempt(size_t index);
 
-    /** Record a terminal result for a request the engine did not
-     *  finish (deadline, cancel, shed, preemption budget). */
-    void finishAborted(Request &&req,
-                       const core::SpecSession *session,
-                       size_t start_iteration,
-                       core::SpecSession::StopReason reason);
+    /** Commit the Finish of a pending or active request. */
+    void commitFinish(uint64_t id,
+                      core::SpecSession::StopReason reason);
+
+    /** Build the result of a request leaving the manager (output
+     *  from its session, when it has one) and count its outcome. */
+    void retire(const Request &req, const core::SpecSession *session,
+                size_t start_iteration,
+                core::SpecSession::StopReason reason);
 
     /** Fail pending requests whose deadline (iteration budget or
      *  wall clock) already expired. */
@@ -608,42 +606,48 @@ class RequestManager
      *  state, or replay would diverge. */
     bool bucketAdmit(Priority priority, uint64_t &retry_after);
 
-    /** Consume one ingress token (accepted submit, live or
-     *  replayed). */
+    /** Consume one ingress token (apply(Submit)). */
     void consumeBucketToken(Priority priority);
 
     /** Shed victim among pending_: lowest class first, latest
      *  arrival within a class; pending_.size() when none. */
     size_t shedVictimIndex() const;
 
-    /** Shed pending_[index] with StopReason::Shed (class stats). */
-    void shedPending(size_t index);
+    /** The degradation ladder after the open iteration commits as
+     *  `iteration`, fed by its step evidence. */
+    DegradationState updateDegradation(size_t iteration) const;
 
-    /** Update the degradation ladder after one stepping sweep. */
-    void updateDegradation(bool speculation_ran, bool fault_seen);
+    /** Start a fresh iteration: read the clock, expire queued
+     *  deadlines, admit into free slots, commit Begin. */
+    void beginIteration();
 
-    /** Journal one committed decode step of active_[index] (the
-     *  tokens/log-probs appended beyond the given pre-step sizes). */
-    void journalStep(size_t index, size_t seq_before,
-                     size_t log_probs_before);
+    /** Admit pending requests into the free batch slots. */
+    void admitPending();
 
-    /** Journal a Finish record mirroring a RequestResult. */
-    void journalFinish(const RequestResult &res);
+    /** Step active_[index] once and commit its Step record; false
+     *  when an injected crash halted the manager. */
+    bool stepActive(size_t index, bool allow_speculation);
 
-    /** Journal the end-of-iteration commit (clock + degradation). */
-    void journalIteration(bool degraded, bool slow);
+    /** Commit the open iteration (clock + degradation ladder). */
+    void commitIteration();
 
-    /** Journal the start of an iteration (index + wall-clock read;
-     *  see RecordType::Begin). */
-    void journalBegin();
+    /** Live path: append `rec` to the attached journal, then apply
+     *  it. */
+    void commit(const JournalRecord &rec);
 
-    /** Journal the admission of a pending request into a batch
-     *  slot, with its post-admission KV residency (the prefix
-     *  adoption level; see RecordType::Admit). */
-    void journalAdmit(uint64_t id, uint64_t adopted_tokens);
+    /**
+     * The transition function: the only code that moves requests
+     * between pending, active and finished, reserves and releases
+     * KV, consumes ingress tokens, advances the iteration clock and
+     * counts accepted requests in ServingStats. Live serving and
+     * recovery both run it, record by record.
+     */
+    void apply(const JournalRecord &rec);
 
-    /** Apply one replayed journal record (recover() body). */
-    void applyRecord(const JournalRecord &rec);
+    /** Index of the active / pending request with this id, or the
+     *  container size when there is none. */
+    size_t activeIndex(uint64_t id) const;
+    size_t pendingIndex(uint64_t id) const;
 
     /** Record an injected crash: serving_crashes counter plus a
      *  scheduler-track instant annotation. */
@@ -670,33 +674,39 @@ class RequestManager
     bool crashed_ = false;
     StepObserver stepObserver_;
     /** Preemption-backoff jitter source; state is snapshotted and
-     *  replay re-draws, so recovery stays bit-identical. */
+     *  apply(Preempt) draws on both paths, so recovery stays
+     *  bit-identical. */
     util::Rng backoffRng_;
     /** Per-class ingress token buckets (see classBucketCapacity).
-     *  Snapshotted; replayed Submits re-consume, so recovery sees
-     *  the same admission decisions. */
+     *  Snapshotted; apply(Submit) consumes on both paths, so
+     *  recovery sees the same admission decisions. */
     uint64_t bucketLevel_[kPriorityCount] = {0, 0, 0};
     uint64_t bucketRefillIteration_[kPriorityCount] = {0, 0, 0};
     /** Wall-clock reading cached once per iteration (and at
      *  submit); all wall-deadline decisions compare against this,
      *  never a fresh read, so a ManualClock drives them exactly. */
     uint64_t nowNanos_ = 0;
+
     /**
-     * Recovery replayed a Begin record without its matching
-     * Iteration commit: the crash landed mid-iteration. The next
-     * runIteration *resumes* that iteration — it reuses the
-     * journaled nowNanos_ instead of reading the clock, skips
-     * admission (Admit replay already rebuilt the batch), and skips
-     * sessions whose Step records were replayed — so deadline
-     * decisions land at exactly the same session progress as the
+     * The iteration between its Begin and Iteration records, opened,
+     * fed and closed by apply() on both paths. Open outside
+     * runIteration() only when recovery ended mid-iteration: the
+     * next runIteration() then resumes it — journaled clock reading,
+     * no admission, already-stepped sessions skipped — so its
+     * decisions land at exactly the session progress of the
      * uninterrupted run.
      */
-    bool resumeIteration_ = false;
-    /** Replayed step evidence for the half-iteration being resumed,
-     *  so the resumed commit feeds updateDegradation the same
-     *  signals the crashed process saw. */
-    bool resumeSpecRan_ = false;
-    bool resumeFaultSeen_ = false;
+    struct OpenIteration
+    {
+        bool open = false;
+        /** Active requests when the iteration began. */
+        size_t batch = 0;
+        /** Step evidence for the degradation ladder: a
+         *  speculation-enabled decode step ran / fell back. */
+        bool speculationRan = false;
+        bool faultSeen = false;
+    };
+    OpenIteration iter_;
 };
 
 /**

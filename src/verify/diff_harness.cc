@@ -8,6 +8,7 @@
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "core/spec_engine.h"
 #include "model/model_factory.h"
@@ -68,6 +69,43 @@ joinTokens(const std::vector<int> &tokens)
     for (size_t i = 0; i < tokens.size(); ++i)
         oss << (i ? "," : "") << tokens[i];
     return oss.str();
+}
+
+/**
+ * ServingStats counters by name. With `all` false, only those that
+ * follow from the requests' results — what a recovery whose prefix
+ * store restarts cold must still reproduce exactly.
+ */
+std::vector<std::pair<const char *, size_t>>
+servingCounters(const runtime::ServingStats &s, bool all)
+{
+    std::vector<std::pair<const char *, size_t>> out = {
+        {"requestsSubmitted", s.requestsSubmitted},
+        {"requestsFinished", s.requestsFinished},
+        {"tokensGenerated", s.tokensGenerated},
+        {"deadlineExpiries", s.deadlineExpiries},
+        {"cancellations", s.cancellations},
+        {"shedRequests", s.shedRequests},
+        {"preemptionAborts", s.preemptionAborts},
+    };
+    if (!all)
+        return out;
+    out.insert(out.end(),
+               {{"iterations", s.iterations},
+                {"requestIterations", s.requestIterations},
+                {"preemptions", s.preemptions},
+                {"lastBatchSize", s.lastBatchSize},
+                {"rejectedQueueFull", s.rejectedQueueFull},
+                {"rejectedNeverFits", s.rejectedNeverFits},
+                {"fallbackSteps", s.fallbackSteps},
+                {"degradedIterations", s.degradedIterations},
+                {"preemptionRetries", s.preemptionRetries},
+                {"slowIterations", s.slowIterations},
+                {"rejectedOverloaded", s.rejectedOverloaded},
+                {"shedByClass[interactive]", s.shedByClass[0]},
+                {"shedByClass[standard]", s.shedByClass[1]},
+                {"shedByClass[batch]", s.shedByClass[2]}});
+    return out;
 }
 
 /** Locate the node identified by a root-to-node token path. */
@@ -730,9 +768,11 @@ runRecoveryTrial(uint64_t seed, bool verbose)
     if (rng.uniform() < 0.8) {
         // Pool between 1x and 3x one worst-case request: tight
         // enough that on-demand paging preempts under load, while
-        // FCFS guarantees forward progress. No deadlines, no retry
-        // or queue bounds: aborts depend on the iteration clock,
-        // which recovery may legitimately shift by one tick.
+        // FCFS guarantees forward progress. No retry or queue
+        // bounds: every scripted submit is accepted and the only
+        // aborts are the wall-clock deadlines drawn above, which a
+        // crash mid-iteration cannot shift — recovery resumes the
+        // open iteration with its journaled clock reading.
         const size_t per_req =
             (worst_tokens + scfg.kvBlockTokens - 1) /
             scfg.kvBlockTokens;
@@ -778,6 +818,7 @@ runRecoveryTrial(uint64_t seed, bool verbose)
     // attributable to recovery alone — even when wall-clock
     // deadlines make fault-induced delays observable in the output.
     std::vector<runtime::RequestResult> baseline;
+    runtime::ServingStats baseline_stats;
     {
         util::FaultInjector base_injector(seed ^ 0xc7a5d1ULL);
         util::FaultScope base_scope(&base_injector);
@@ -819,6 +860,7 @@ runRecoveryTrial(uint64_t seed, bool verbose)
             return out;
         }
         baseline = mgr.takeFinished();
+        baseline_stats = mgr.stats();
     }
 
     // --- Count crash-point consultations for this workload. -------
@@ -1013,6 +1055,25 @@ runRecoveryTrial(uint64_t seed, bool verbose)
             out.configLine += "\n  id=" + std::to_string(res.id) +
                               ": " + joinTokens(res.tokens);
     }
+
+    // --- Equivalence: the same serving statistics. ----------------
+    // A recovered prefix store starts cold by design, so with
+    // sharing on, requests admitted after recovery may spend extra
+    // prefill iterations; only the counters the results determine
+    // must then agree.
+    const bool all = !scfg.kvPrefixSharing;
+    const auto want = servingCounters(baseline_stats, all);
+    const auto got = servingCounters(mgr->stats(), all);
+    for (size_t k = 0; k < want.size(); ++k) {
+        if (got[k].second == want[k].second)
+            continue;
+        out.ok = false;
+        out.detail = std::string("ServingStats.") + want[k].first +
+                     " diverged after recovery: baseline " +
+                     std::to_string(want[k].second) + ", recovered " +
+                     std::to_string(got[k].second);
+        return out;
+    }
     return out;
 }
 
@@ -1109,9 +1170,7 @@ replayJournal(std::istream &in, std::ostream &log, bool verbose)
             manager.runIteration();
         const runtime::SubmitResult res = manager.submit(
             sub.prompt, static_cast<size_t>(sub.maxNewTokens), 0,
-            static_cast<runtime::Priority>(
-                sub.priority < runtime::kPriorityCount ? sub.priority
-                                                       : 1));
+            static_cast<runtime::Priority>(sub.priority));
         ++result.requests;
         if (!res.accepted() || res.id != sub.id) {
             ++result.mismatches;

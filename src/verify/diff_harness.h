@@ -97,8 +97,12 @@ TrialOutcome runKvRoundTripTrial(uint64_t seed);
  *
  * Passes when every request's final output is token-for-token
  * identical between the two runs, stop reasons agree, no request is
- * lost or duplicated, and the KV pool ends empty with zero
- * redundant releases.
+ * lost or duplicated, the KV pool ends empty with zero redundant
+ * releases, and the ServingStats counters agree: all of them without
+ * prefix sharing; with it, those the results determine (submitted,
+ * finished, tokens, deadline expiries, cancellations, shed requests,
+ * preemption aborts), since a recovered prefix store starts cold
+ * and may run extra prefill iterations.
  */
 TrialOutcome runRecoveryTrial(uint64_t seed, bool verbose = false);
 

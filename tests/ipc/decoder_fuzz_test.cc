@@ -24,6 +24,7 @@
 
 #include "ipc/wire.h"
 #include "runtime/journal.h"
+#include "runtime/request.h"
 #include "util/rng.h"
 
 namespace specinfer {
@@ -34,6 +35,7 @@ using runtime::RecordType;
 
 constexpr size_t kRoundTrips = 1000;
 constexpr size_t kMutations = 12000;
+constexpr auto kShed = core::SpecSession::StopReason::Shed;
 
 std::vector<int>
 randomTokens(util::Rng &rng)
@@ -53,8 +55,9 @@ randomString(util::Rng &rng)
     return out;
 }
 
-/** A record of a random type with every field random (the writer
- *  serializes only the fields its type carries). */
+/** A record of a random type with every field random, enum bytes
+ *  within their ranges (the writer serializes only the fields its
+ *  type carries). */
 JournalRecord
 randomRecord(util::Rng &rng)
 {
@@ -66,7 +69,8 @@ randomRecord(util::Rng &rng)
     r.maxNewTokens = rng.next();
     r.deadlineIterations = rng.next();
     r.deadlineNanos = rng.next();
-    r.priority = static_cast<uint8_t>(rng.next());
+    r.priority = static_cast<uint8_t>(
+        rng.uniformInt(uint64_t{runtime::kPriorityCount}));
     r.prompt = randomTokens(rng);
     r.tokens = randomTokens(rng);
     r.logProbs.resize(r.tokens.size());
@@ -83,16 +87,11 @@ randomRecord(util::Rng &rng)
     r.rngAfter.hasCachedNormal = rng.uniformInt(2) == 1;
     r.rngAfter.cachedNormal = rng.normal();
     r.sessionDone = rng.uniformInt(2) == 1;
-    r.stopReason = static_cast<uint8_t>(rng.next());
-    r.preemptionCount = rng.next();
-    r.earliestRestart = rng.next();
-    r.startIteration = rng.next();
-    r.finishIteration = rng.next();
-    r.preemptions = rng.next();
+    r.stopReason = static_cast<uint8_t>(
+        rng.uniformInt(1 + static_cast<uint64_t>(kShed)));
     r.iteration = rng.next();
     r.iterNanos = rng.next();
     r.adoptedTokens = rng.next();
-    r.iterDegraded = static_cast<uint8_t>(rng.next());
     r.iterSlow = static_cast<uint8_t>(rng.next());
     r.degrSpeculationDisabled = static_cast<uint8_t>(rng.next());
     r.degrConsecutiveFaults = rng.next();
@@ -240,6 +239,39 @@ TEST(DecoderFuzzTest, JournalParserRejectsHostilePayloads)
             << "trial " << i;
     }
     EXPECT_GT(rejected, kMutations / 4);
+}
+
+TEST(DecoderFuzzTest, JournalParserRejectsOutOfRangeEnumBytes)
+{
+    // The priority indexes per-class arrays and the stop reason
+    // selects a counter when the record is applied, so a
+    // CRC-consistent record carrying either out of range must read
+    // as a torn tail, not reach the manager.
+    JournalRecord submit;
+    submit.type = RecordType::Submit;
+    submit.priority = runtime::kPriorityCount - 1;
+    submit.prompt = {1, 2, 3};
+    std::vector<uint8_t> bytes = journalPayload(submit);
+    JournalRecord got;
+    ASSERT_TRUE(readFramed(bytes, &got));
+    // Type byte, then five u64 fields: the priority byte is at 41.
+    for (unsigned priority = runtime::kPriorityCount; priority < 256;
+         ++priority) {
+        bytes[41] = static_cast<uint8_t>(priority);
+        EXPECT_FALSE(readFramed(bytes, &got)) << priority;
+    }
+
+    JournalRecord finish;
+    finish.type = RecordType::Finish;
+    finish.stopReason = static_cast<uint8_t>(kShed);
+    bytes = journalPayload(finish);
+    ASSERT_TRUE(readFramed(bytes, &got));
+    // Type byte and the u64 id: the stop reason is at 9.
+    for (unsigned stop = static_cast<unsigned>(kShed) + 1; stop < 256;
+         ++stop) {
+        bytes[9] = static_cast<uint8_t>(stop);
+        EXPECT_FALSE(readFramed(bytes, &got)) << stop;
+    }
 }
 
 TEST(DecoderFuzzTest, WireMessagesRoundTrip)

@@ -93,7 +93,7 @@ TEST(FaultSoakTest, RandomFaultScheduleKeepsEveryInvariant)
     {
         std::vector<int> prompt;
         size_t maxNewTokens;
-        bool hadDeadline;
+        bool hadDeadline = false;
     };
     std::map<uint64_t, Submitted> accepted;
     std::vector<uint64_t> live; // accepted, not yet seen finished
@@ -220,8 +220,6 @@ TEST(FaultSoakTest, RandomFaultScheduleKeepsEveryInvariant)
     // All KV memory returned: nothing leaks across thousands of
     // preemptions, cancellations, and deadline expiries.
     EXPECT_EQ(manager.kvPool()->usedBlocks(), 0u) << fi.reproLine();
-    // Trace capture stays off by default: no unbounded growth.
-    EXPECT_TRUE(stats.batchSizeTrace.empty());
 
     SPECINFER_INFO("soak: " << normal << " exact, " << aborted
                             << " aborted-prefix, " << rejected

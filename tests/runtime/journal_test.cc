@@ -82,8 +82,6 @@ samplePreempt()
     JournalRecord r;
     r.type = RecordType::Preempt;
     r.id = 9;
-    r.preemptionCount = 2;
-    r.earliestRestart = 31;
     return r;
 }
 
@@ -94,10 +92,6 @@ sampleFinish()
     r.type = RecordType::Finish;
     r.id = 7;
     r.stopReason = 1;
-    r.arrivalIteration = 12;
-    r.startIteration = 13;
-    r.finishIteration = 29;
-    r.preemptions = 1;
     return r;
 }
 
@@ -107,14 +101,23 @@ sampleIteration()
     JournalRecord r;
     r.type = RecordType::Iteration;
     r.iteration = 30;
-    r.iterDegraded = 1;
-    r.iterSlow = 1;
     r.degrSpeculationDisabled = 1;
     r.degrConsecutiveFaults = 3;
     r.degrCleanIterations = 0;
     r.degrCurrentBackoff = 8;
     r.degrReenableIteration = 38;
     r.degrDisableEpisodes = 2;
+    return r;
+}
+
+JournalRecord
+sampleBegin()
+{
+    JournalRecord r;
+    r.type = RecordType::Begin;
+    r.iteration = 29;
+    r.iterNanos = 123456789;
+    r.iterSlow = 1;
     return r;
 }
 
@@ -138,8 +141,9 @@ sampleHeader()
 std::vector<JournalRecord>
 sampleRecords()
 {
-    return {sampleHeader(), sampleSubmit(), sampleStep(),
-            samplePreempt(), sampleFinish(), sampleIteration()};
+    return {sampleHeader(), sampleSubmit(), sampleBegin(),
+            sampleStep(), samplePreempt(), sampleFinish(),
+            sampleIteration()};
 }
 
 void
@@ -166,13 +170,8 @@ expectEqual(const JournalRecord &got, const JournalRecord &want)
     EXPECT_EQ(got.rngAfter.cachedNormal, want.rngAfter.cachedNormal);
     EXPECT_EQ(got.sessionDone, want.sessionDone);
     EXPECT_EQ(got.stopReason, want.stopReason);
-    EXPECT_EQ(got.preemptionCount, want.preemptionCount);
-    EXPECT_EQ(got.earliestRestart, want.earliestRestart);
-    EXPECT_EQ(got.startIteration, want.startIteration);
-    EXPECT_EQ(got.finishIteration, want.finishIteration);
-    EXPECT_EQ(got.preemptions, want.preemptions);
     EXPECT_EQ(got.iteration, want.iteration);
-    EXPECT_EQ(got.iterDegraded, want.iterDegraded);
+    EXPECT_EQ(got.iterNanos, want.iterNanos);
     EXPECT_EQ(got.iterSlow, want.iterSlow);
     EXPECT_EQ(got.degrSpeculationDisabled,
               want.degrSpeculationDisabled);

@@ -239,6 +239,56 @@ TEST(RecoveryTest, RecoveredManagerKeepsJournalingForNextCrash)
     EXPECT_EQ(finishedMap(third), finishedMap(reference));
 }
 
+TEST(RecoveryTest, CrashBeforeTheFinalCommitStillCommitsIt)
+{
+    // The last crash point of a run is the final iteration's commit:
+    // every Finish is journaled, the Iteration record is not. The
+    // recovered manager has nothing pending or active, but it still
+    // owes that commit — busy() must stay true until it lands, or
+    // the clock ends one iteration short of the uninterrupted run.
+    EngineFixture f;
+    ServingConfig cfg;
+    cfg.maxBatchSize = 2;
+    const std::vector<std::vector<int>> prompts = {{4, 8, 15},
+                                                   {16, 23, 42}};
+
+    FaultInjector counter(1);
+    RequestManager reference(f.engine.get(), cfg);
+    std::stringstream reference_buf;
+    JournalWriter reference_journal(reference_buf);
+    reference.attachJournal(&reference_journal);
+    {
+        FaultScope scope(&counter);
+        for (const std::vector<int> &prompt : prompts)
+            ASSERT_TRUE(reference.submit(prompt).accepted());
+        reference.runUntilDrained();
+    }
+
+    FaultInjector crasher(1);
+    crasher.armAt(FaultPoint::Crash,
+                  counter.occurrences(FaultPoint::Crash));
+    RequestManager crashed(f.engine.get(), cfg);
+    std::stringstream journal_buf;
+    JournalWriter journal(journal_buf);
+    crashed.attachJournal(&journal);
+    {
+        FaultScope scope(&crasher);
+        for (const std::vector<int> &prompt : prompts)
+            ASSERT_TRUE(crashed.submit(prompt).accepted());
+        crashed.runUntilDrained();
+    }
+    ASSERT_TRUE(crashed.crashed());
+
+    RequestManager recovered(f.engine.get(), cfg);
+    std::stringstream journal_in(journal_buf.str());
+    recovered.recover(nullptr, &journal_in);
+    EXPECT_EQ(recovered.pendingCount() + recovered.activeCount(), 0u);
+    recovered.runUntilDrained();
+    EXPECT_EQ(recovered.stats().iterations,
+              reference.stats().iterations);
+    EXPECT_EQ(finishedMap(recovered), finishedMap(reference));
+}
+
 // ----------------------------------------------------------------
 // Tensor-parallel serving: the degree rides through snapshots.
 
