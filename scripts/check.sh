@@ -82,6 +82,16 @@ SPECINFER_BENCH_TOKENS=8 \
 # supervisor_* metric catalog.
 ./scripts/supervisor_smoke.sh
 
+# Crash/recover smoke: spec_infer dies mid-serve (--crash-after) right
+# after a snapshot that holds active sessions; a fresh process
+# recovers from snapshot + journal tail, its tokens must equal an
+# uninterrupted run's, and diffcheck re-drives the journal.
+./scripts/recover_smoke.sh
+
+# Every ASan/UBSan sweep below fails on the first UBSan report
+# instead of printing it and running on.
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+
 # Fault-injection soak under ASan/UBSan: thousands of scheduling
 # iterations with random speculator/verifier/allocator/straggler
 # faults; checks liveness, request conservation, the spec-vs-

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <istream>
-#include <ostream>
 
 #include "model/prefix_store.h"
-#include "model/serialization.h"
 #include "obs/obs.h"
+#include "util/bytes.h"
 #include "util/fault.h"
 #include "util/hash.h"
 #include "util/logging.h"
@@ -313,79 +311,61 @@ SpecSession::generated() const
                             seq_.end());
 }
 
-namespace {
-
-// Session snapshot framing (version 1). RngState is written field
-// by field (never as a raw struct) so padding bytes can't leak into
-// the format.
-constexpr uint32_t kSessionVersion = 1;
-
 void
-writeRngState(std::ostream &out, const util::RngState &state)
+writeStepRecord(util::ByteWriter &w, const StepRecord &record)
 {
-    for (uint64_t word : state.s)
-        model::io::writePod<uint64_t>(out, word);
-    model::io::writePod<uint8_t>(out, state.hasCachedNormal ? 1 : 0);
-    model::io::writePod<double>(out, state.cachedNormal);
-}
-
-util::RngState
-readRngState(std::istream &in)
-{
-    util::RngState state;
-    for (uint64_t &word : state.s)
-        word = model::io::readPod<uint64_t>(in);
-    state.hasCachedNormal = model::io::readPod<uint8_t>(in) != 0;
-    state.cachedNormal = model::io::readPod<double>(in);
-    return state;
-}
-
-void
-writeStepRecord(std::ostream &out, const StepRecord &record)
-{
-    model::io::writePod<uint64_t>(out, record.treeSize);
-    model::io::writePod<uint64_t>(out, record.verifiedTokens);
-    model::io::writePod<uint64_t>(out, record.llmChunkTokens);
-    model::io::writePod<uint64_t>(out, record.ssmTokensDecoded);
-    model::io::writePod<uint8_t>(out, record.prefill ? 1 : 0);
-    model::io::writePod<uint8_t>(out, record.fallback ? 1 : 0);
+    w.pod<uint64_t>(record.treeSize);
+    w.pod<uint64_t>(record.verifiedTokens);
+    w.pod<uint64_t>(record.llmChunkTokens);
+    w.pod<uint64_t>(record.ssmTokensDecoded);
+    w.pod<uint8_t>(record.prefill ? 1 : 0);
+    w.pod<uint8_t>(record.fallback ? 1 : 0);
 }
 
 StepRecord
-readStepRecord(std::istream &in)
+readStepRecord(util::ByteReader &r)
 {
     StepRecord record;
-    record.treeSize = model::io::readPod<uint64_t>(in);
-    record.verifiedTokens = model::io::readPod<uint64_t>(in);
-    record.llmChunkTokens = model::io::readPod<uint64_t>(in);
-    record.ssmTokensDecoded = model::io::readPod<uint64_t>(in);
-    record.prefill = model::io::readPod<uint8_t>(in) != 0;
-    record.fallback = model::io::readPod<uint8_t>(in) != 0;
+    record.treeSize = r.pod<uint64_t>();
+    record.verifiedTokens = r.pod<uint64_t>();
+    record.llmChunkTokens = r.pod<uint64_t>();
+    record.ssmTokensDecoded = r.pod<uint64_t>();
+    record.prefill = r.pod<uint8_t>() != 0;
+    record.fallback = r.pod<uint8_t>() != 0;
     return record;
 }
 
-} // namespace
+void
+writeSpecStats(util::ByteWriter &w, const SpecStats &stats)
+{
+    w.pod<uint64_t>(stats.steps.size());
+    for (const StepRecord &record : stats.steps)
+        writeStepRecord(w, record);
+}
+
+SpecStats
+readSpecStats(util::ByteReader &r)
+{
+    // Four u64 counters and two flag bytes per record.
+    SpecStats stats;
+    stats.steps.resize(r.count(4 * sizeof(uint64_t) + 2));
+    for (StepRecord &record : stats.steps)
+        record = readStepRecord(r);
+    return stats;
+}
 
 void
-SpecSession::save(std::ostream &out) const
+SpecSession::save(util::ByteWriter &w) const
 {
-    using model::io::writePod;
-    writePod<uint32_t>(out, kSessionVersion);
-    writePod<uint64_t>(out, promptLen_);
-    model::io::writePodVector<int>(out, seq_);
-    writePod<uint64_t>(out, maxNewTokens_);
-    model::io::writePodVector<float>(out, logProbs_);
-    writeRngState(out, rng_.state());
-    writePod<uint8_t>(out, done_ ? 1 : 0);
-    writePod<uint8_t>(out, static_cast<uint8_t>(stopReason_));
-    writePod<uint64_t>(out, stats_.steps.size());
-    for (const StepRecord &record : stats_.steps)
-        writeStepRecord(out, record);
-    model::saveKvCache(out, llmCache_);
-    writePod<uint64_t>(out, ssmCaches_.size());
-    for (const model::KvCache &cache : ssmCaches_)
-        model::saveKvCache(out, cache);
-    SPECINFER_CHECK(out.good(), "session write failed");
+    w.pod<uint64_t>(promptLen_);
+    w.podVector<int>(seq_);
+    w.pod<uint64_t>(maxNewTokens_);
+    w.podVector<float>(logProbs_);
+    util::writeRngState(w, rng_.state());
+    w.pod<uint8_t>(done_ ? 1 : 0);
+    w.pod<uint8_t>(static_cast<uint8_t>(stopReason_));
+    writeSpecStats(w, stats_);
+    w.pod<uint64_t>(llmCache_.length());
 }
 
 void
@@ -421,17 +401,26 @@ SpecSession::hydrateKv(size_t target_len)
 }
 
 SpecSession
-SpecEngine::loadSession(std::istream &in) const
+SpecEngine::loadSession(util::ByteReader &r) const
 {
-    using model::io::readPod;
-    uint32_t version = readPod<uint32_t>(in);
-    SPECINFER_CHECK(version == kSessionVersion,
-                    "unsupported session version " << version);
-    uint64_t prompt_len = readPod<uint64_t>(in);
-    std::vector<int> seq = model::io::readPodVector<int>(in);
-    SPECINFER_CHECK(prompt_len > 0 && prompt_len <= seq.size(),
-                    "corrupt session prompt length");
-    uint64_t max_new = readPod<uint64_t>(in);
+    const uint64_t prompt_len = r.pod<uint64_t>();
+    std::vector<int> seq = r.podVector<int>();
+    const uint64_t max_new = r.pod<uint64_t>();
+    std::vector<float> log_probs = r.podVector<float>();
+    const util::RngState rng = util::readRngState(r);
+    const bool done = r.pod<uint8_t>() != 0;
+    const uint8_t stop = r.pod<uint8_t>();
+    SpecStats stats = readSpecStats(r);
+    const uint64_t cached = r.pod<uint64_t>();
+    const int vocab = static_cast<int>(llm_->config().vocabSize);
+    SPECINFER_CHECK(
+        r.ok() && prompt_len > 0 && prompt_len <= seq.size() &&
+            prompt_len + 2 < llm_->config().maxSeqLen &&
+            cached <= seq.size() &&
+            stop <= static_cast<uint8_t>(SpecSession::StopReason::Shed) &&
+            std::all_of(seq.begin(), seq.end(),
+                        [vocab](int t) { return t >= 0 && t < vocab; }),
+        "corrupt serving snapshot: bad session");
 
     // Reconstruct through the normal constructor (prompt checks,
     // cache shells), then overwrite the mutable decoding state.
@@ -442,39 +431,12 @@ SpecEngine::loadSession(std::istream &in) const
                              static_cast<ptrdiff_t>(prompt_len)),
         0, max_new, 0);
     session.seq_ = std::move(seq);
-    session.logProbs_ = model::io::readPodVector<float>(in);
-    session.rng_.setState(readRngState(in));
-    session.done_ = readPod<uint8_t>(in) != 0;
-    session.stopReason_ =
-        static_cast<SpecSession::StopReason>(readPod<uint8_t>(in));
-    uint64_t n_steps = readPod<uint64_t>(in);
-    SPECINFER_CHECK(n_steps < (1ull << 32),
-                    "implausible session step count");
-    session.stats_.steps.clear();
-    session.stats_.steps.reserve(n_steps);
-    for (uint64_t i = 0; i < n_steps; ++i)
-        session.stats_.steps.push_back(readStepRecord(in));
-
-    model::KvCache llm_cache = model::loadKvCache(in);
-    SPECINFER_CHECK(llm_cache.layers() == llm_->config().nLayers &&
-                    llm_cache.kvDim() == session.llmCache_.kvDim() &&
-                    llm_cache.capacity() == cacheCapacity_,
-                    "session KV cache does not match this engine");
-    session.llmCache_ = std::move(llm_cache);
-
-    uint64_t n_ssm = readPod<uint64_t>(in);
-    SPECINFER_CHECK(n_ssm == session.ssmCaches_.size(),
-                    "session SSM cache count does not match engine");
-    for (uint64_t i = 0; i < n_ssm; ++i) {
-        model::KvCache cache = model::loadKvCache(in);
-        SPECINFER_CHECK(
-            cache.layers() == session.ssmCaches_[i].layers() &&
-                cache.kvDim() == session.ssmCaches_[i].kvDim() &&
-                cache.capacity() ==
-                    session.ssmCaches_[i].capacity(),
-            "session SSM cache does not match this engine");
-        session.ssmCaches_[i] = std::move(cache);
-    }
+    session.logProbs_ = std::move(log_probs);
+    session.rng_.setState(rng);
+    session.done_ = done;
+    session.stopReason_ = static_cast<SpecSession::StopReason>(stop);
+    session.stats_ = std::move(stats);
+    session.hydrateKv(cached);
     return session;
 }
 

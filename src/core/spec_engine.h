@@ -24,7 +24,6 @@
 #ifndef SPECINFER_CORE_SPEC_ENGINE_H
 #define SPECINFER_CORE_SPEC_ENGINE_H
 
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -124,6 +123,13 @@ struct SpecStats
     double avgVerifiedPerStep() const;
 };
 
+/** The one byte encoding of a StepRecord (journal Step records) and
+ *  of a step list (serving snapshots). */
+void writeStepRecord(util::ByteWriter &w, const StepRecord &record);
+StepRecord readStepRecord(util::ByteReader &r);
+void writeSpecStats(util::ByteWriter &w, const SpecStats &stats);
+SpecStats readSpecStats(util::ByteReader &r);
+
 /** Result of a complete generation. */
 struct GenerationResult
 {
@@ -189,12 +195,13 @@ class SpecSession
     const std::vector<float> &logProbs() const { return logProbs_; }
 
     /**
-     * Serialize the full decoding state (sequence, log-probs, RNG,
-     * stats, stop state, LLM + SSM KV caches) so a serving snapshot
-     * can reconstruct the session bit-exactly via
-     * SpecEngine::loadSession().
+     * Serialize the token-level decoding state (sequence, log-probs,
+     * RNG, stats, stop state and the LLM cache level) so a serving
+     * snapshot can reconstruct the session bit-exactly via
+     * SpecEngine::loadSession(). KV rows are not written: they are a
+     * deterministic function of the verified tokens.
      */
-    void save(std::ostream &out) const;
+    void save(util::ByteWriter &w) const;
 
     /** Current sampler/RNG state — the "RNG cursor" journaled after
      *  every step so replay resumes the exact random stream. */
@@ -350,13 +357,18 @@ class SpecEngine
                               size_t max_new_tokens = 0) const;
 
     /**
-     * Reconstruct a session saved with SpecSession::save(). The
-     * engine must be configured identically to the saving engine
-     * (model dims and tree budget are validated; sampling/seed
+     * Reconstruct a session saved with SpecSession::save(): restore
+     * its token-level state, then recompute the LLM cache to the
+     * saved level with SpecSession::hydrateKv(), the call journal
+     * replay makes. SSM caches start empty and catch up in the next
+     * speculation, as they do after replay. The engine must be
+     * configured identically to the saving engine (sampling/seed
      * configuration is the caller's responsibility — the serving
-     * snapshot carries the engine identity implicitly).
+     * snapshot carries the engine identity implicitly). Bytes that
+     * do not describe a session of this engine fail one "corrupt
+     * serving snapshot" check.
      */
-    SpecSession loadSession(std::istream &in) const;
+    SpecSession loadSession(util::ByteReader &r) const;
 
   private:
     friend class SpecSession;

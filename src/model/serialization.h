@@ -1,95 +1,36 @@
 /**
  * @file
- * Binary serialization of model configurations, weights, and live
- * KV-cache state, so calibrated model pairs can be stored and
- * reloaded instead of regenerated (and, in a deployment, so real
- * checkpoints could be imported) — and so a serving snapshot can
- * capture a session's exact decoding state for crash recovery.
+ * Binary serialization of model configurations and weights, so
+ * calibrated model pairs can be stored and reloaded instead of
+ * regenerated (and, in a deployment, so real checkpoints could be
+ * imported).
  *
- * Model format (little-endian, version 1):
+ * Model format (little-endian, version 2):
  *   magic "SPIN", u32 version,
  *   config fields (u64/f32 in declaration order, name length-prefixed),
  *   embedding, per-layer tensors, final norm, lm head — each tensor
- *   as u64 rows, u64 cols, rows*cols f32.
+ *   as u64 rows, u64 cols, rows*cols f32; int8 models append their
+ *   quantized layers and LM head.
  *
- * KV-cache format (version 1):
- *   magic "SPKV", u32 version, u64 layers/kvDim/capacity/length,
- *   then per layer: length key rows followed by length value rows,
- *   each kvDim f32. Only occupied rows are written; restore is
- *   byte-identical (tested by the recovery oracle).
+ * Weights stream straight from and to files; every other binary
+ * format (journal, serving snapshot, IPC wire) goes through the
+ * in-memory util::ByteWriter/ByteReader codec. A session's KV cache
+ * is never serialized: it is a deterministic function of the
+ * session's tokens, and recovery recomputes it.
  */
 
 #ifndef SPECINFER_MODEL_SERIALIZATION_H
 #define SPECINFER_MODEL_SERIALIZATION_H
 
-#include <cstdint>
 #include <iosfwd>
-#include <istream>
-#include <memory>
-#include <ostream>
 #include <string>
-#include <vector>
 
 #include "model/config.h"
-#include "model/kv_cache.h"
 #include "model/transformer.h"
 #include "model/weights.h"
-#include "util/logging.h"
 
 namespace specinfer {
 namespace model {
-
-/**
- * Low-level little-endian stream helpers shared by the model,
- * session, and serving-snapshot serializers. Readers abort (panic)
- * on truncated input — snapshot streams are written atomically, so
- * truncation there is corruption, unlike the journal whose reader
- * is truncation-tolerant by design (see runtime/journal.h).
- */
-namespace io {
-
-template <typename T>
-inline void
-writePod(std::ostream &out, T value)
-{
-    out.write(reinterpret_cast<const char *>(&value), sizeof(T));
-}
-
-template <typename T>
-inline T
-readPod(std::istream &in)
-{
-    T value{};
-    in.read(reinterpret_cast<char *>(&value), sizeof(T));
-    SPECINFER_CHECK(in.good(), "truncated serialized stream");
-    return value;
-}
-
-/** Length-prefixed vector of POD elements (tokens, log-probs, ...). */
-template <typename T>
-inline void
-writePodVector(std::ostream &out, const std::vector<T> &v)
-{
-    writePod<uint64_t>(out, v.size());
-    out.write(reinterpret_cast<const char *>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(T)));
-}
-
-template <typename T>
-inline std::vector<T>
-readPodVector(std::istream &in)
-{
-    uint64_t len = readPod<uint64_t>(in);
-    SPECINFER_CHECK(len < (1ull << 32),
-                    "implausible serialized vector length");
-    std::vector<T> v(len);
-    in.read(reinterpret_cast<char *>(v.data()),
-            static_cast<std::streamsize>(len * sizeof(T)));
-    SPECINFER_CHECK(in.good(), "truncated serialized stream");
-    return v;
-}
-
-} // namespace io
 
 /** Serialize config + weights to a stream. */
 void saveModel(std::ostream &out, const ModelConfig &cfg,
@@ -102,13 +43,6 @@ Transformer loadModel(std::istream &in);
 /** Convenience: file-path variants. Fatal on I/O errors. */
 void saveModelFile(const std::string &path, const Transformer &model);
 Transformer loadModelFile(const std::string &path);
-
-/** Serialize a live KV cache (occupied rows only). */
-void saveKvCache(std::ostream &out, const KvCache &cache);
-
-/** Load a KV cache previously written by saveKvCache(); the result
- *  is byte-identical to the saved cache (keys, values, length). */
-KvCache loadKvCache(std::istream &in);
 
 } // namespace model
 } // namespace specinfer

@@ -43,26 +43,6 @@ crcTable()
     return table;
 }
 
-void
-writeRng(ByteWriter &w, const util::RngState &state)
-{
-    for (uint64_t word : state.s)
-        w.pod<uint64_t>(word);
-    w.pod<uint8_t>(state.hasCachedNormal ? 1 : 0);
-    w.pod<double>(state.cachedNormal);
-}
-
-util::RngState
-readRng(ByteReader &r)
-{
-    util::RngState state;
-    for (uint64_t &word : state.s)
-        word = r.pod<uint64_t>();
-    state.hasCachedNormal = r.pod<uint8_t>() != 0;
-    state.cachedNormal = r.pod<double>();
-    return state;
-}
-
 std::vector<uint8_t>
 serializePayload(const JournalRecord &rec)
 {
@@ -82,13 +62,8 @@ serializePayload(const JournalRecord &rec)
         w.pod<uint64_t>(rec.id);
         w.podVector<int>(rec.tokens);
         w.podVector<float>(rec.logProbs);
-        w.pod<uint64_t>(rec.step.treeSize);
-        w.pod<uint64_t>(rec.step.verifiedTokens);
-        w.pod<uint64_t>(rec.step.llmChunkTokens);
-        w.pod<uint64_t>(rec.step.ssmTokensDecoded);
-        w.pod<uint8_t>(rec.step.prefill ? 1 : 0);
-        w.pod<uint8_t>(rec.step.fallback ? 1 : 0);
-        writeRng(w, rec.rngAfter);
+        core::writeStepRecord(w, rec.step);
+        util::writeRngState(w, rec.rngAfter);
         w.pod<uint8_t>(rec.sessionDone ? 1 : 0);
         w.pod<uint8_t>(rec.stopReason);
         break;
@@ -101,12 +76,6 @@ serializePayload(const JournalRecord &rec)
         break;
       case RecordType::Iteration:
         w.pod<uint64_t>(rec.iteration);
-        w.pod<uint8_t>(rec.degrSpeculationDisabled);
-        w.pod<uint64_t>(rec.degrConsecutiveFaults);
-        w.pod<uint64_t>(rec.degrCleanIterations);
-        w.pod<uint64_t>(rec.degrCurrentBackoff);
-        w.pod<uint64_t>(rec.degrReenableIteration);
-        w.pod<uint64_t>(rec.degrDisableEpisodes);
         break;
       case RecordType::Begin:
         w.pod<uint64_t>(rec.iteration);
@@ -128,6 +97,9 @@ serializePayload(const JournalRecord &rec)
         w.pod<uint64_t>(rec.maxBatchSize);
         w.pod<uint8_t>(rec.tpDegree);
         break;
+      case RecordType::Degrade:
+        w.pod<uint64_t>(rec.degradeBackoff);
+        break;
     }
     return w.bytes();
 }
@@ -138,7 +110,7 @@ parsePayload(const std::vector<uint8_t> &payload, JournalRecord &rec)
     ByteReader r(payload);
     uint8_t raw_type = r.pod<uint8_t>();
     if (!r.ok() || raw_type < 1 ||
-        raw_type > static_cast<uint8_t>(RecordType::Header))
+        raw_type > static_cast<uint8_t>(RecordType::Degrade))
         return false;
     rec = JournalRecord();
     rec.type = static_cast<RecordType>(raw_type);
@@ -156,13 +128,8 @@ parsePayload(const std::vector<uint8_t> &payload, JournalRecord &rec)
         rec.id = r.pod<uint64_t>();
         rec.tokens = r.podVector<int>();
         rec.logProbs = r.podVector<float>();
-        rec.step.treeSize = r.pod<uint64_t>();
-        rec.step.verifiedTokens = r.pod<uint64_t>();
-        rec.step.llmChunkTokens = r.pod<uint64_t>();
-        rec.step.ssmTokensDecoded = r.pod<uint64_t>();
-        rec.step.prefill = r.pod<uint8_t>() != 0;
-        rec.step.fallback = r.pod<uint8_t>() != 0;
-        rec.rngAfter = readRng(r);
+        rec.step = core::readStepRecord(r);
+        rec.rngAfter = util::readRngState(r);
         rec.sessionDone = r.pod<uint8_t>() != 0;
         rec.stopReason = r.pod<uint8_t>();
         break;
@@ -175,12 +142,6 @@ parsePayload(const std::vector<uint8_t> &payload, JournalRecord &rec)
         break;
       case RecordType::Iteration:
         rec.iteration = r.pod<uint64_t>();
-        rec.degrSpeculationDisabled = r.pod<uint8_t>();
-        rec.degrConsecutiveFaults = r.pod<uint64_t>();
-        rec.degrCleanIterations = r.pod<uint64_t>();
-        rec.degrCurrentBackoff = r.pod<uint64_t>();
-        rec.degrReenableIteration = r.pod<uint64_t>();
-        rec.degrDisableEpisodes = r.pod<uint64_t>();
         break;
       case RecordType::Begin:
         rec.iteration = r.pod<uint64_t>();
@@ -201,6 +162,9 @@ parsePayload(const std::vector<uint8_t> &payload, JournalRecord &rec)
         rec.temperature = r.pod<double>();
         rec.maxBatchSize = r.pod<uint64_t>();
         rec.tpDegree = r.pod<uint8_t>();
+        break;
+      case RecordType::Degrade:
+        rec.degradeBackoff = r.pod<uint64_t>();
         break;
     }
     // Enum bytes apply() indexes with must be in range, and a valid
@@ -245,6 +209,8 @@ recordTypeName(RecordType type)
         return "admit";
       case RecordType::Header:
         return "header";
+      case RecordType::Degrade:
+        return "degrade";
     }
     return "unknown";
 }

@@ -28,8 +28,10 @@
  * the step, never model activations or KV rows, and a Preempt or
  * Finish record names only the request (and the stop reason) —
  * apply() derives everything else from the state it transitions.
- * This keeps the journal tiny (the snapshot holds the bulky state)
- * and means replay re-runs no decode step.
+ * The snapshot (RequestManager::writeSnapshot) follows the same
+ * rule: scheduler state and token-level sessions, no KV rows, which
+ * recovery recomputes from the tokens. Both stay small, and replay
+ * re-runs no decode step.
  *
  * One journal spans every process generation: a restart cuts the
  * torn tail and appends after it (runtime::JournalFile), opening
@@ -67,7 +69,9 @@ enum class RecordType : uint8_t
     Preempt = 3,
     /** A request finished (normally or aborted). */
     Finish = 4,
-    /** One scheduling iteration committed (clock + degradation). */
+    /** One scheduling iteration committed; apply() advances the
+     *  clock and the degradation ladder from the iteration's step
+     *  evidence. */
     Iteration = 5,
     /**
      * An iteration's batch is formed and stepping begins: the
@@ -94,6 +98,13 @@ enum class RecordType : uint8_t
      * from. Recovery ignores it.
      */
     Header = 8,
+    /**
+     * Speculation was disabled from outside the scheduler
+     * (RequestManager::forceDegrade, the daemon watchdog's hook) for
+     * `degradeBackoff` iterations, so the forced window survives a
+     * crash before the next Iteration record.
+     */
+    Degrade = 9,
 };
 
 /** Printable record type name (logs and tests). */
@@ -151,16 +162,11 @@ struct JournalRecord
      *  re-hydrates to this level so the recovered session spends
      *  exactly as many prefill iterations as the live one did. */
     uint64_t adoptedTokens = 0;
-    /** runtime::DegradationState after the commit, flattened
-     *  (Iteration; journal.h must not depend on request_manager.h).
-     *  Journaled rather than re-derived so an out-of-band
-     *  RequestManager::forceDegrade() survives recovery. */
-    uint8_t degrSpeculationDisabled = 0;
-    uint64_t degrConsecutiveFaults = 0;
-    uint64_t degrCleanIterations = 0;
-    uint64_t degrCurrentBackoff = 0;
-    uint64_t degrReenableIteration = 0;
-    uint64_t degrDisableEpisodes = 0;
+
+    // --- Degrade --------------------------------------------------
+    /** Iterations speculation stays disabled, counted from the
+     *  manager's iteration clock when the record applies. */
+    uint64_t degradeBackoff = 0;
 
     // --- Header ---------------------------------------------------
     /** LLM preset name (model::llmPreset). */

@@ -6,13 +6,14 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
-#include "model/serialization.h"
 #include "obs/obs.h"
+#include "util/bytes.h"
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/threadpool.h"
@@ -22,131 +23,79 @@ namespace runtime {
 
 namespace {
 
-// Serving-snapshot framing (version 1). The snapshot is the bulky
-// half of crash safety: full sessions (KV caches included) plus
-// scheduler bookkeeping; the journal holds only per-event records.
-constexpr char kSnapMagic[4] = {'S', 'P', 'S', 'N'};
-// v2: resident shared-block intern table + per-request shared
-// holdings (prefix sharing).
-// v4: SSM precision byte, so recovery replays the journal under the
-// same draft-model numerics the crashed process ran.
-// v5: QoS — per-request priority class + wall-clock deadline,
-// per-class ingress bucket state, overload/shed-by-class stats.
-// v6: resumable iterations — open-iteration flag + journaled clock
-// reading + replayed degradation evidence, and a per-active
-// stepped-this-iteration mark, so a snapshot taken right after a
-// mid-iteration recovery carries the resume state.
-// v7: tensor-parallel degree byte, so recovery replays the journal
-// under the same sharded execution shape the crashed process ran
-// (logits are bit-identical across TP degrees, but recovery is
-// defined as reproducing the crashed process exactly).
-// v8: event-sourced manager — the batch-size trace is gone (the last
-// iteration's batch size replaces it), and the open-iteration state
-// carries the batch size it began with.
-constexpr uint32_t kSnapVersion = 8;
-
-using model::io::readPod;
-using model::io::readPodVector;
-using model::io::writePod;
-using model::io::writePodVector;
+// Serving-snapshot framing: magic, version, then the fields in
+// writeSnapshot() order. The snapshot holds scheduler state and
+// token-level sessions; KV rows are rebuilt from the tokens on load
+// (SpecEngine::loadSession), and the journal holds the per-event
+// records after it.
+constexpr uint32_t kSnapMagic = 0x4e535053; // "SPSN", little-endian
+constexpr uint32_t kSnapVersion = 9;
+constexpr const char *kCorruptSnapshot = "corrupt serving snapshot";
 
 void
-writeRequest(std::ostream &out, const Request &req)
+writeRequest(util::ByteWriter &w, const Request &req)
 {
-    writePod<uint64_t>(out, req.id);
-    writePodVector<int>(out, req.prompt);
-    writePod<uint64_t>(out, req.arrivalIteration);
-    writePod<uint64_t>(out, req.maxNewTokens);
-    writePod<uint64_t>(out, req.deadlineIterations);
-    writePod<uint64_t>(out, req.deadlineNanos);
-    writePod<uint8_t>(out, static_cast<uint8_t>(req.priority));
-    writePod<uint64_t>(out, req.preemptionCount);
-    writePod<uint64_t>(out, req.earliestRestart);
+    w.pod<uint64_t>(req.id);
+    w.podVector<int>(req.prompt);
+    w.pod<uint64_t>(req.arrivalIteration);
+    w.pod<uint64_t>(req.maxNewTokens);
+    w.pod<uint64_t>(req.deadlineIterations);
+    w.pod<uint64_t>(req.deadlineNanos);
+    w.pod<uint8_t>(static_cast<uint8_t>(req.priority));
+    w.pod<uint64_t>(req.preemptionCount);
+    w.pod<uint64_t>(req.earliestRestart);
 }
 
 Request
-readRequest(std::istream &in)
+readRequest(util::ByteReader &r)
 {
     Request req;
-    req.id = readPod<uint64_t>(in);
-    req.prompt = readPodVector<int>(in);
-    req.arrivalIteration = readPod<uint64_t>(in);
-    req.maxNewTokens = readPod<uint64_t>(in);
-    req.deadlineIterations = readPod<uint64_t>(in);
-    req.deadlineNanos = readPod<uint64_t>(in);
-    const uint8_t priority = readPod<uint8_t>(in);
-    SPECINFER_CHECK(priority < kPriorityCount,
-                    "snapshot request priority out of range");
+    req.id = r.pod<uint64_t>();
+    req.prompt = r.podVector<int>();
+    req.arrivalIteration = r.pod<uint64_t>();
+    req.maxNewTokens = r.pod<uint64_t>();
+    req.deadlineIterations = r.pod<uint64_t>();
+    req.deadlineNanos = r.pod<uint64_t>();
+    const uint8_t priority = r.pod<uint8_t>();
+    SPECINFER_CHECK(priority < kPriorityCount, kCorruptSnapshot);
     req.priority = static_cast<Priority>(priority);
-    req.preemptionCount = readPod<uint64_t>(in);
-    req.earliestRestart = readPod<uint64_t>(in);
+    req.preemptionCount = r.pod<uint64_t>();
+    req.earliestRestart = r.pod<uint64_t>();
     return req;
 }
 
 void
-writeStepRecord(std::ostream &out, const core::StepRecord &s)
+writeResult(util::ByteWriter &w, const RequestResult &res)
 {
-    writePod<uint64_t>(out, s.treeSize);
-    writePod<uint64_t>(out, s.verifiedTokens);
-    writePod<uint64_t>(out, s.llmChunkTokens);
-    writePod<uint64_t>(out, s.ssmTokensDecoded);
-    writePod<uint8_t>(out, s.prefill ? 1 : 0);
-    writePod<uint8_t>(out, s.fallback ? 1 : 0);
-}
-
-core::StepRecord
-readStepRecord(std::istream &in)
-{
-    core::StepRecord s;
-    s.treeSize = readPod<uint64_t>(in);
-    s.verifiedTokens = readPod<uint64_t>(in);
-    s.llmChunkTokens = readPod<uint64_t>(in);
-    s.ssmTokensDecoded = readPod<uint64_t>(in);
-    s.prefill = readPod<uint8_t>(in) != 0;
-    s.fallback = readPod<uint8_t>(in) != 0;
-    return s;
-}
-
-void
-writeResult(std::ostream &out, const RequestResult &res)
-{
-    writePod<uint64_t>(out, res.id);
-    writePodVector<int>(out, res.tokens);
-    writePod<uint64_t>(out, res.stats.steps.size());
-    for (const core::StepRecord &s : res.stats.steps)
-        writeStepRecord(out, s);
-    writePod<uint8_t>(out, static_cast<uint8_t>(res.stopReason));
-    writePod<uint64_t>(out, res.arrivalIteration);
-    writePod<uint64_t>(out, res.startIteration);
-    writePod<uint64_t>(out, res.finishIteration);
-    writePod<uint64_t>(out, res.preemptions);
-    writePod<uint8_t>(out, static_cast<uint8_t>(res.priority));
+    w.pod<uint64_t>(res.id);
+    w.podVector<int>(res.tokens);
+    core::writeSpecStats(w, res.stats);
+    w.pod<uint8_t>(static_cast<uint8_t>(res.stopReason));
+    w.pod<uint64_t>(res.arrivalIteration);
+    w.pod<uint64_t>(res.startIteration);
+    w.pod<uint64_t>(res.finishIteration);
+    w.pod<uint64_t>(res.preemptions);
+    w.pod<uint8_t>(static_cast<uint8_t>(res.priority));
 }
 
 RequestResult
-readResult(std::istream &in)
+readResult(util::ByteReader &r)
 {
     RequestResult res;
-    res.id = readPod<uint64_t>(in);
-    res.tokens = readPodVector<int>(in);
-    uint64_t n_steps = readPod<uint64_t>(in);
-    SPECINFER_CHECK(n_steps < (1ull << 32),
-                    "implausible snapshot step count");
-    res.stats.steps.reserve(n_steps);
-    for (uint64_t i = 0; i < n_steps; ++i)
-        res.stats.steps.push_back(readStepRecord(in));
-    const uint8_t stop = readPod<uint8_t>(in);
-    SPECINFER_CHECK(stop <= static_cast<uint8_t>(
-                                core::SpecSession::StopReason::Shed),
-                    "snapshot stop reason out of range");
+    res.id = r.pod<uint64_t>();
+    res.tokens = r.podVector<int>();
+    res.stats = core::readSpecStats(r);
+    const uint8_t stop = r.pod<uint8_t>();
     res.stopReason = static_cast<core::SpecSession::StopReason>(stop);
-    res.arrivalIteration = readPod<uint64_t>(in);
-    res.startIteration = readPod<uint64_t>(in);
-    res.finishIteration = readPod<uint64_t>(in);
-    res.preemptions = readPod<uint64_t>(in);
-    const uint8_t priority = readPod<uint8_t>(in);
-    SPECINFER_CHECK(priority < kPriorityCount,
-                    "snapshot result priority out of range");
+    res.arrivalIteration = r.pod<uint64_t>();
+    res.startIteration = r.pod<uint64_t>();
+    res.finishIteration = r.pod<uint64_t>();
+    res.preemptions = r.pod<uint64_t>();
+    const uint8_t priority = r.pod<uint8_t>();
+    SPECINFER_CHECK(stop <= static_cast<uint8_t>(
+                                core::SpecSession::StopReason::Shed) &&
+                        priority < kPriorityCount,
+                    kCorruptSnapshot);
     res.priority = static_cast<Priority>(priority);
     return res;
 }
@@ -719,15 +668,12 @@ RequestManager::updateDegradation(size_t iteration) const
 void
 RequestManager::forceDegrade(size_t backoff_iterations)
 {
-    if (backoff_iterations == 0)
+    if (backoff_iterations == 0 || crashed_)
         return;
-    degr_.speculationDisabled = true;
-    degr_.reenableIteration =
-        std::max(degr_.reenableIteration,
-                 stats_.iterations + backoff_iterations);
-    ++degr_.disableEpisodes;
-    degr_.consecutiveFaults = 0;
-    degr_.cleanIterations = 0;
+    JournalRecord rec;
+    rec.type = RecordType::Degrade;
+    rec.degradeBackoff = backoff_iterations;
+    commit(rec);
 }
 
 void
@@ -872,13 +818,6 @@ RequestManager::commitIteration()
     JournalRecord rec;
     rec.type = RecordType::Iteration;
     rec.iteration = stats_.iterations + 1;
-    const DegradationState next = updateDegradation(rec.iteration);
-    rec.degrSpeculationDisabled = next.speculationDisabled ? 1 : 0;
-    rec.degrConsecutiveFaults = next.consecutiveFaults;
-    rec.degrCleanIterations = next.cleanIterations;
-    rec.degrCurrentBackoff = next.currentBackoff;
-    rec.degrReenableIteration = next.reenableIteration;
-    rec.degrDisableEpisodes = next.disableEpisodes;
     commit(rec);
     // Opt-in durability: harden the whole iteration's records at
     // the commit boundary (one fdatasync per iteration, not per
@@ -1103,115 +1042,107 @@ RequestManager::attachJournal(JournalWriter *journal)
     journal_->append(rec);
 }
 
+template <typename Self, typename Visit>
 void
-RequestManager::writeSnapshot(std::ostream &out) const
+RequestManager::visitSnapshotScalars(Self &self, Visit &&visit)
 {
-    out.write(kSnapMagic, 4);
-    writePod<uint32_t>(out, kSnapVersion);
-    writePod<uint64_t>(out,
-                       journal_ ? journal_->bytesWritten() : 0);
-    writePod<uint64_t>(out, nextId_);
-    writePod<uint8_t>(out, cfg_.ssmPrecision);
-    writePod<uint8_t>(out, cfg_.tpDegree);
-
-    writePod<uint64_t>(out, stats_.iterations);
-    writePod<uint64_t>(out, stats_.requestsSubmitted);
-    writePod<uint64_t>(out, stats_.requestsFinished);
-    writePod<uint64_t>(out, stats_.tokensGenerated);
-    writePod<uint64_t>(out, stats_.requestIterations);
-    writePod<uint64_t>(out, stats_.preemptions);
-    writePod<uint64_t>(out, stats_.rejectedQueueFull);
-    writePod<uint64_t>(out, stats_.rejectedNeverFits);
-    writePod<uint64_t>(out, stats_.shedRequests);
-    writePod<uint64_t>(out, stats_.deadlineExpiries);
-    writePod<uint64_t>(out, stats_.cancellations);
-    writePod<uint64_t>(out, stats_.fallbackSteps);
-    writePod<uint64_t>(out, stats_.degradedIterations);
-    writePod<uint64_t>(out, stats_.preemptionRetries);
-    writePod<uint64_t>(out, stats_.preemptionAborts);
-    writePod<uint64_t>(out, stats_.slowIterations);
-    writePod<uint64_t>(out, stats_.rejectedOverloaded);
-    for (size_t cls = 0; cls < kPriorityCount; ++cls)
-        writePod<uint64_t>(out, stats_.shedByClass[cls]);
+    visit(self.nextId_);
+    auto &st = self.stats_;
+    for (auto *field :
+         {&st.iterations, &st.requestsSubmitted, &st.requestsFinished,
+          &st.tokensGenerated, &st.requestIterations, &st.preemptions,
+          &st.lastBatchSize, &st.rejectedQueueFull,
+          &st.rejectedNeverFits, &st.shedRequests,
+          &st.deadlineExpiries, &st.cancellations, &st.fallbackSteps,
+          &st.degradedIterations, &st.preemptionRetries,
+          &st.preemptionAborts, &st.slowIterations,
+          &st.rejectedOverloaded})
+        visit(*field);
     // Per-class ingress buckets: levels and refill cursors, so a
     // recovered manager meters exactly where the crashed one left
     // off (replayed Submits then re-consume on top).
     for (size_t cls = 0; cls < kPriorityCount; ++cls) {
-        writePod<uint64_t>(out, bucketLevel_[cls]);
-        writePod<uint64_t>(out, bucketRefillIteration_[cls]);
+        visit(st.shedByClass[cls]);
+        visit(self.bucketLevel_[cls]);
+        visit(self.bucketRefillIteration_[cls]);
     }
-    writePod<uint64_t>(out, stats_.lastBatchSize);
-
-    writePod<uint8_t>(out, degr_.speculationDisabled ? 1 : 0);
-    writePod<uint64_t>(out, degr_.consecutiveFaults);
-    writePod<uint64_t>(out, degr_.cleanIterations);
-    writePod<uint64_t>(out, degr_.currentBackoff);
-    writePod<uint64_t>(out, degr_.reenableIteration);
-    writePod<uint64_t>(out, degr_.disableEpisodes);
-
+    auto &degr = self.degr_;
+    visit(degr.speculationDisabled);
+    for (auto *field :
+         {&degr.consecutiveFaults, &degr.cleanIterations,
+          &degr.currentBackoff, &degr.reenableIteration,
+          &degr.disableEpisodes})
+        visit(*field);
     // Open iteration: a snapshot taken between a mid-iteration
     // recovery and the next runIteration must hand the resumed
     // iteration its journaled clock reading and step evidence.
-    writePod<uint8_t>(out, iter_.open ? 1 : 0);
-    writePod<uint64_t>(out, nowNanos_);
-    writePod<uint64_t>(out, iter_.batch);
-    writePod<uint8_t>(out, iter_.speculationRan ? 1 : 0);
-    writePod<uint8_t>(out, iter_.faultSeen ? 1 : 0);
+    visit(self.iter_.open);
+    visit(self.iter_.batch);
+    visit(self.iter_.speculationRan);
+    visit(self.iter_.faultSeen);
+    visit(self.nowNanos_);
+}
 
+void
+RequestManager::writeSnapshot(std::ostream &out) const
+{
+    util::ByteWriter w;
+    w.pod<uint32_t>(kSnapMagic);
+    w.pod<uint32_t>(kSnapVersion);
+    w.pod<uint64_t>(journal_ ? journal_->bytesWritten() : 0);
+    w.pod<uint8_t>(cfg_.ssmPrecision);
+    w.pod<uint8_t>(cfg_.tpDegree);
+    visitSnapshotScalars(*this, [&w](const auto &field) {
+        w.pod<uint64_t>(field);
+    });
     // Backoff-jitter RNG cursor: recovery must resume with the same
     // draw sequence an uninterrupted run would have used, or
     // post-crash preemption windows (and thus token-identity)
     // diverge.
-    const util::RngState rng_state = backoffRng_.state();
-    for (uint64_t word : rng_state.s)
-        writePod<uint64_t>(out, word);
+    util::writeRngState(w, backoffRng_.state());
 
-    writePod<uint64_t>(out, pending_.size());
+    w.pod<uint64_t>(pending_.size());
     for (const Request &req : pending_)
-        writeRequest(out, req);
+        writeRequest(w, req);
 
     // Resident shared-block table, in hash order. Chain depth is
     // persisted (not re-derived) so restore order never matters —
     // eviction gaps can leave a child resident without its parent.
     if (kvPool_) {
         const auto &table = kvPool_->sharedTable();
-        writePod<uint64_t>(out, table.size());
+        w.pod<uint64_t>(table.size());
         for (const auto &entry : table) {
-            writePod<uint64_t>(out, entry.first);
-            writePod<uint64_t>(out, entry.second.parent);
-            writePod<uint64_t>(out, entry.second.depth);
-            writePodVector<int>(out, entry.second.tokens);
+            w.pod<uint64_t>(entry.first);
+            w.pod<uint64_t>(entry.second.parent);
+            w.pod<uint64_t>(entry.second.depth);
+            w.podVector<int>(entry.second.tokens);
         }
     } else {
-        writePod<uint64_t>(out, 0);
+        w.pod<uint64_t>(0);
     }
 
-    writePod<uint64_t>(out, active_.size());
+    w.pod<uint64_t>(active_.size());
     for (const ActiveRequest &ar : active_) {
-        writeRequest(out, ar.request);
-        writePod<uint64_t>(out, ar.startIteration);
+        const uint64_t id = ar.request.id;
+        writeRequest(w, ar.request);
+        w.pod<uint64_t>(ar.startIteration);
         // Exact pool holding, not a recomputed need: the restore
         // must reproduce live occupancy block-for-block.
-        writePod<uint64_t>(out,
-                           kvPool_ ? kvPool_->requestBlocks(
-                                         ar.request.id)
-                                   : 0);
-        writePodVector<uint64_t>(
-            out, kvPool_ ? kvPool_->requestSharedHashes(
-                               ar.request.id)
-                         : std::vector<uint64_t>{});
-        writePod<uint64_t>(out,
-                           kvPool_ ? kvPool_->requestPartial(
-                                         ar.request.id)
-                                   : 0);
-        writePod<uint64_t>(out, ar.cowPending);
-        writePod<uint8_t>(out, ar.steppedThisIteration ? 1 : 0);
-        ar.session.save(out);
+        w.pod<uint64_t>(kvPool_ ? kvPool_->requestBlocks(id) : 0);
+        w.podVector<uint64_t>(kvPool_
+                                  ? kvPool_->requestSharedHashes(id)
+                                  : std::vector<uint64_t>{});
+        w.pod<uint64_t>(kvPool_ ? kvPool_->requestPartial(id) : 0);
+        w.pod<uint64_t>(ar.cowPending);
+        w.pod<uint8_t>(ar.steppedThisIteration ? 1 : 0);
+        ar.session.save(w);
     }
 
-    writePod<uint64_t>(out, finished_.size());
+    w.pod<uint64_t>(finished_.size());
     for (const RequestResult &res : finished_)
-        writeResult(out, res);
+        writeResult(w, res);
+    out.write(reinterpret_cast<const char *>(w.bytes().data()),
+              static_cast<std::streamsize>(w.bytes().size()));
     SPECINFER_CHECK(out.good(), "snapshot write failed");
 }
 
@@ -1357,17 +1288,22 @@ RequestManager::apply(const JournalRecord &rec)
                                         << " that never began");
         if (iter_.batch > 0 && degr_.speculationDisabled)
             ++stats_.degradedIterations;
+        degr_ = updateDegradation(rec.iteration);
         stats_.iterations = rec.iteration;
         stats_.lastBatchSize = iter_.batch;
-        degr_.speculationDisabled = rec.degrSpeculationDisabled != 0;
-        degr_.consecutiveFaults = rec.degrConsecutiveFaults;
-        degr_.cleanIterations = rec.degrCleanIterations;
-        degr_.currentBackoff = rec.degrCurrentBackoff;
-        degr_.reenableIteration = rec.degrReenableIteration;
-        degr_.disableEpisodes = rec.degrDisableEpisodes;
         iter_ = OpenIteration{};
         for (ActiveRequest &ar : active_)
             ar.steppedThisIteration = false;
+        break;
+
+      case RecordType::Degrade:
+        degr_.speculationDisabled = true;
+        degr_.reenableIteration =
+            std::max(degr_.reenableIteration,
+                     stats_.iterations + rec.degradeBackoff);
+        ++degr_.disableEpisodes;
+        degr_.consecutiveFaults = 0;
+        degr_.cleanIterations = 0;
         break;
 
       case RecordType::Header:
@@ -1385,17 +1321,22 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
                     "manager");
     uint64_t skip = 0;
     if (snapshot != nullptr) {
-        char magic[4];
-        snapshot->read(magic, 4);
-        SPECINFER_CHECK(snapshot->good() &&
-                        std::memcmp(magic, kSnapMagic, 4) == 0,
-                        "not a SpecInfer serving snapshot");
-        uint32_t version = readPod<uint32_t>(*snapshot);
+        const std::vector<uint8_t> bytes(
+            (std::istreambuf_iterator<char>(*snapshot)),
+            std::istreambuf_iterator<char>());
+        // A short read or a count the bytes cannot hold fails the
+        // reader, which then yields zeros and empty lists, so a
+        // truncated or corrupted snapshot reaches a "corrupt serving
+        // snapshot" check before anything loops or allocates on it.
+        util::ByteReader r(bytes);
+        const uint32_t magic = r.pod<uint32_t>();
+        const uint32_t version = r.pod<uint32_t>();
+        skip = r.pod<uint64_t>();
+        const uint8_t snap_precision = r.pod<uint8_t>();
+        const uint8_t snap_tp = r.pod<uint8_t>();
+        SPECINFER_CHECK(r.ok() && magic == kSnapMagic, kCorruptSnapshot);
         SPECINFER_CHECK(version == kSnapVersion,
                         "unsupported snapshot version " << version);
-        skip = readPod<uint64_t>(*snapshot);
-        nextId_ = readPod<uint64_t>(*snapshot);
-        const uint8_t snap_precision = readPod<uint8_t>(*snapshot);
         SPECINFER_CHECK(snap_precision == cfg_.ssmPrecision,
                         "snapshot was taken with SSM precision "
                             << unsigned(snap_precision)
@@ -1403,7 +1344,6 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
                             << unsigned(cfg_.ssmPrecision)
                             << "; recovery must replay under the "
                                "same draft-model numerics");
-        const uint8_t snap_tp = readPod<uint8_t>(*snapshot);
         SPECINFER_CHECK(snap_tp == cfg_.tpDegree,
                         "snapshot was taken with tensor-parallel "
                         "degree "
@@ -1412,69 +1352,27 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
                             << unsigned(cfg_.tpDegree)
                             << "; recovery must replay under the "
                                "same sharded execution shape");
+        visitSnapshotScalars(*this, [&r](auto &field) {
+            field = static_cast<std::remove_reference_t<decltype(field)>>(
+                r.pod<uint64_t>());
+        });
+        backoffRng_.setState(util::readRngState(r));
 
-        stats_.iterations = readPod<uint64_t>(*snapshot);
-        stats_.requestsSubmitted = readPod<uint64_t>(*snapshot);
-        stats_.requestsFinished = readPod<uint64_t>(*snapshot);
-        stats_.tokensGenerated = readPod<uint64_t>(*snapshot);
-        stats_.requestIterations = readPod<uint64_t>(*snapshot);
-        stats_.preemptions = readPod<uint64_t>(*snapshot);
-        stats_.rejectedQueueFull = readPod<uint64_t>(*snapshot);
-        stats_.rejectedNeverFits = readPod<uint64_t>(*snapshot);
-        stats_.shedRequests = readPod<uint64_t>(*snapshot);
-        stats_.deadlineExpiries = readPod<uint64_t>(*snapshot);
-        stats_.cancellations = readPod<uint64_t>(*snapshot);
-        stats_.fallbackSteps = readPod<uint64_t>(*snapshot);
-        stats_.degradedIterations = readPod<uint64_t>(*snapshot);
-        stats_.preemptionRetries = readPod<uint64_t>(*snapshot);
-        stats_.preemptionAborts = readPod<uint64_t>(*snapshot);
-        stats_.slowIterations = readPod<uint64_t>(*snapshot);
-        stats_.rejectedOverloaded = readPod<uint64_t>(*snapshot);
-        for (size_t cls = 0; cls < kPriorityCount; ++cls)
-            stats_.shedByClass[cls] = readPod<uint64_t>(*snapshot);
-        for (size_t cls = 0; cls < kPriorityCount; ++cls) {
-            bucketLevel_[cls] = readPod<uint64_t>(*snapshot);
-            bucketRefillIteration_[cls] =
-                readPod<uint64_t>(*snapshot);
-        }
-        stats_.lastBatchSize = readPod<uint64_t>(*snapshot);
-
-        degr_.speculationDisabled =
-            readPod<uint8_t>(*snapshot) != 0;
-        degr_.consecutiveFaults = readPod<uint64_t>(*snapshot);
-        degr_.cleanIterations = readPod<uint64_t>(*snapshot);
-        degr_.currentBackoff = readPod<uint64_t>(*snapshot);
-        degr_.reenableIteration = readPod<uint64_t>(*snapshot);
-        degr_.disableEpisodes = readPod<uint64_t>(*snapshot);
-
-        iter_.open = readPod<uint8_t>(*snapshot) != 0;
-        nowNanos_ = readPod<uint64_t>(*snapshot);
-        iter_.batch = readPod<uint64_t>(*snapshot);
-        iter_.speculationRan = readPod<uint8_t>(*snapshot) != 0;
-        iter_.faultSeen = readPod<uint8_t>(*snapshot) != 0;
-
-        util::RngState rng_state;
-        for (uint64_t &word : rng_state.s)
-            word = readPod<uint64_t>(*snapshot);
-        backoffRng_.setState(rng_state);
-
-        uint64_t n_pending = readPod<uint64_t>(*snapshot);
-        SPECINFER_CHECK(n_pending < (1ull << 32),
-                        "implausible snapshot pending count");
+        // Every list element starts with at least one u64.
+        const uint64_t n_pending = r.count(sizeof(uint64_t));
         for (uint64_t i = 0; i < n_pending; ++i)
-            pending_.push_back(readRequest(*snapshot));
+            pending_.push_back(readRequest(r));
 
-        uint64_t n_shared = readPod<uint64_t>(*snapshot);
-        SPECINFER_CHECK(n_shared < (1ull << 32),
-                        "implausible snapshot shared-block count");
+        const uint64_t n_shared = r.count(sizeof(uint64_t));
         SPECINFER_CHECK(n_shared == 0 || kvPool_ != nullptr,
                         "snapshot has shared blocks but this "
                         "manager has no KV pool");
         for (uint64_t i = 0; i < n_shared; ++i) {
-            uint64_t hash = readPod<uint64_t>(*snapshot);
-            uint64_t parent = readPod<uint64_t>(*snapshot);
-            uint64_t depth = readPod<uint64_t>(*snapshot);
-            std::vector<int> tokens = readPodVector<int>(*snapshot);
+            const uint64_t hash = r.pod<uint64_t>();
+            const uint64_t parent = r.pod<uint64_t>();
+            const uint64_t depth = r.pod<uint64_t>();
+            std::vector<int> tokens = r.podVector<int>();
+            SPECINFER_CHECK(r.ok(), kCorruptSnapshot);
             kvPool_->restoreSharedBlock(hash, parent, depth,
                                         std::move(tokens));
             // Declared but cold: payload rows are not persisted, so
@@ -1483,20 +1381,18 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
                 prefixStore_->declare(hash);
         }
 
-        uint64_t n_active = readPod<uint64_t>(*snapshot);
-        SPECINFER_CHECK(n_active < (1ull << 20),
-                        "implausible snapshot active count");
+        const uint64_t n_active = r.count(sizeof(uint64_t));
         for (uint64_t i = 0; i < n_active; ++i) {
-            Request req = readRequest(*snapshot);
-            uint64_t start_iter = readPod<uint64_t>(*snapshot);
-            uint64_t held_blocks = readPod<uint64_t>(*snapshot);
-            std::vector<uint64_t> shared_hashes =
-                readPodVector<uint64_t>(*snapshot);
-            uint64_t partial = readPod<uint64_t>(*snapshot);
-            uint64_t cow_pending = readPod<uint64_t>(*snapshot);
-            const bool stepped = readPod<uint8_t>(*snapshot) != 0;
-            core::SpecSession session =
-                engine_->loadSession(*snapshot);
+            Request req = readRequest(r);
+            const uint64_t start_iter = r.pod<uint64_t>();
+            const uint64_t held_blocks = r.pod<uint64_t>();
+            const std::vector<uint64_t> shared_hashes =
+                r.podVector<uint64_t>();
+            const uint64_t partial = r.pod<uint64_t>();
+            const uint64_t cow_pending = r.pod<uint64_t>();
+            const bool stepped = r.pod<uint8_t>() != 0;
+            // Checks the reader before it rebuilds any KV row.
+            core::SpecSession session = engine_->loadSession(r);
             if (kvPool_) {
                 for (uint64_t hash : shared_hashes)
                     kvPool_->restoreAcquire(req.id, hash, false);
@@ -1518,11 +1414,10 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
                                start_iter, cow_pending, stepped});
         }
 
-        uint64_t n_finished = readPod<uint64_t>(*snapshot);
-        SPECINFER_CHECK(n_finished < (1ull << 32),
-                        "implausible snapshot finished count");
+        const uint64_t n_finished = r.count(sizeof(uint64_t));
         for (uint64_t i = 0; i < n_finished; ++i)
-            finished_.push_back(readResult(*snapshot));
+            finished_.push_back(readResult(r));
+        SPECINFER_CHECK(r.ok() && r.exhausted(), kCorruptSnapshot);
     }
 
     uint64_t replayed = 0;

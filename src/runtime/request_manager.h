@@ -292,6 +292,8 @@ struct DegradationState
     size_t reenableIteration = 0;
     /** Times the ladder has disabled speculation. */
     size_t disableEpisodes = 0;
+
+    bool operator==(const DegradationState &) const = default;
 };
 
 /**
@@ -371,7 +373,8 @@ class RequestManager
      * calls this on an iteration stall — a stall is evidence the
      * speculative path is sick even when no SSM fault fired, and
      * incremental decoding is the safe gear. Extends (never
-     * shortens) an active disable window.
+     * shortens) an active disable window. Committed as a Degrade
+     * record, so the window survives a crash.
      */
     void forceDegrade(size_t backoff_iterations);
 
@@ -476,10 +479,11 @@ class RequestManager
     /**
      * Serialize the full scheduling state: iteration clock, stats,
      * degradation ladder, pending queue, active requests with their
-     * complete sessions (sequence, RNG, KV caches), per-request KV
-     * pool holdings, and finished results. The snapshot records the
-     * attached journal's current byte offset, so recover() replays
-     * exactly the journal tail written after this snapshot.
+     * token-level sessions (sequence, RNG, LLM cache level — no KV
+     * rows), per-request KV pool holdings, and finished results.
+     * The snapshot records the attached journal's current byte
+     * offset, so recover() replays exactly the journal tail written
+     * after this snapshot.
      */
     void writeSnapshot(std::ostream &out) const;
 
@@ -500,7 +504,9 @@ class RequestManager
      * (or keep appending to the same journal) before serving on.
      *
      * @param snapshot Snapshot stream, or nullptr to replay the
-     *        whole journal from an empty manager.
+     *        whole journal from an empty manager. A truncated or
+     *        corrupted snapshot fails one "corrupt serving
+     *        snapshot" check.
      * @param journal Journal stream positioned at its first record,
      *        or nullptr to restore the snapshot alone.
      * @return Length in bytes of the valid journal prefix (skip +
@@ -628,7 +634,8 @@ class RequestManager
      *  when an injected crash halted the manager. */
     bool stepActive(size_t index, bool allow_speculation);
 
-    /** Commit the open iteration (clock + degradation ladder). */
+    /** Commit the open iteration (its apply advances the clock and
+     *  the degradation ladder). */
     void commitIteration();
 
     /** Live path: append `rec` to the attached journal, then apply
@@ -643,6 +650,12 @@ class RequestManager
      * recovery both run it, record by record.
      */
     void apply(const JournalRecord &rec);
+
+    /** Visit every fixed-width scheduler field the snapshot holds,
+     *  in format order: writeSnapshot() and recover() share this
+     *  one list. */
+    template <typename Self, typename Visit>
+    static void visitSnapshotScalars(Self &self, Visit &&visit);
 
     /** Index of the active / pending request with this id, or the
      *  container size when there is none. */

@@ -1,21 +1,22 @@
 /**
  * @file
  * In-memory byte codec shared by the write-ahead journal
- * (runtime/journal) and the IPC wire protocol (ipc/wire).
+ * (runtime/journal), the serving snapshot (runtime/request_manager,
+ * with the sessions it holds) and the IPC wire protocol (ipc/wire).
  *
  * ByteWriter appends fixed-width values and length-prefixed
  * vectors and strings (u64 element count, then the raw elements) to
  * a buffer, in host byte order — little-endian on every supported
  * target. ByteReader walks a buffer with bounds checks: a read past
  * the end (a torn, truncated or hostile payload) flips ok() to false
- * and yields zeros instead of aborting, and a length prefix is
- * checked against the bytes left before anything is allocated, so a
- * payload can never make the reader allocate more than it carries.
- * Decoders read field by field and check ok() — usually together
- * with exhausted() — once at the end.
+ * and yields zeros instead of aborting, and an element count is
+ * checked against the bytes left before anything is allocated or
+ * looped over, so a payload can never make the reader allocate or
+ * iterate more than it carries. Decoders read field by field and
+ * check ok() — usually together with exhausted() — once at the end.
  *
- * File streaming of MB-sized weights and KV rows goes through
- * model::io::writePod/readPod instead.
+ * Model weights are the one binary format outside this codec: they
+ * stream from files in model/serialization.cc.
  */
 
 #ifndef SPECINFER_UTIL_BYTES_H
@@ -96,16 +97,27 @@ class ByteReader
         return value;
     }
 
+    /**
+     * A u64 element count, checked against the bytes left for
+     * elements of at least `min_element_bytes` each. A count the
+     * payload cannot hold fails the reader and yields 0, so no
+     * decoder allocates or loops on a hostile count.
+     */
+    uint64_t count(size_t min_element_bytes)
+    {
+        const uint64_t n = pod<uint64_t>();
+        if (!ok_ || n > (size_ - pos_) / min_element_bytes) {
+            ok_ = false;
+            return 0;
+        }
+        return n;
+    }
+
     template <typename T>
     std::vector<T> podVector()
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        const uint64_t len = pod<uint64_t>();
-        if (!ok_ || len > (size_ - pos_) / sizeof(T)) {
-            ok_ = false;
-            return {};
-        }
-        std::vector<T> v(static_cast<size_t>(len));
+        std::vector<T> v(static_cast<size_t>(count(sizeof(T))));
         if (!v.empty())
             std::memcpy(v.data(), data_ + pos_, v.size() * sizeof(T));
         pos_ += v.size() * sizeof(T);

@@ -2,10 +2,31 @@
 
 #include <cmath>
 
+#include "util/bytes.h"
 #include "util/logging.h"
 
 namespace specinfer {
 namespace util {
+
+void
+writeRngState(ByteWriter &w, const RngState &state)
+{
+    for (uint64_t word : state.s)
+        w.pod<uint64_t>(word);
+    w.pod<uint8_t>(state.hasCachedNormal ? 1 : 0);
+    w.pod<double>(state.cachedNormal);
+}
+
+RngState
+readRngState(ByteReader &r)
+{
+    RngState state;
+    for (uint64_t &word : state.s)
+        word = r.pod<uint64_t>();
+    state.hasCachedNormal = r.pod<uint8_t>() != 0;
+    state.cachedNormal = r.pod<double>();
+    return state;
+}
 
 uint64_t
 splitmix64(uint64_t &state)

@@ -19,6 +19,9 @@
 namespace specinfer {
 namespace util {
 
+class ByteReader;
+class ByteWriter;
+
 /**
  * Complete serializable state of an Rng stream.
  *
@@ -42,6 +45,11 @@ struct RngState
                cachedNormal == o.cachedNormal;
     }
 };
+
+/** The one byte encoding of an RngState (journal Step records and
+ *  serving snapshots), field by field so padding never leaks. */
+void writeRngState(ByteWriter &w, const RngState &state);
+RngState readRngState(ByteReader &r);
 
 /**
  * Deterministic random number generator (xoshiro256**).

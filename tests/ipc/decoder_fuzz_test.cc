@@ -63,7 +63,7 @@ randomRecord(util::Rng &rng)
 {
     JournalRecord r;
     r.type = static_cast<RecordType>(
-        1 + rng.uniformInt(static_cast<uint64_t>(RecordType::Header)));
+        1 + rng.uniformInt(static_cast<uint64_t>(RecordType::Degrade)));
     r.id = rng.next();
     r.arrivalIteration = rng.next();
     r.maxNewTokens = rng.next();
@@ -93,12 +93,7 @@ randomRecord(util::Rng &rng)
     r.iterNanos = rng.next();
     r.adoptedTokens = rng.next();
     r.iterSlow = static_cast<uint8_t>(rng.next());
-    r.degrSpeculationDisabled = static_cast<uint8_t>(rng.next());
-    r.degrConsecutiveFaults = rng.next();
-    r.degrCleanIterations = rng.next();
-    r.degrCurrentBackoff = rng.next();
-    r.degrReenableIteration = rng.next();
-    r.degrDisableEpisodes = rng.next();
+    r.degradeBackoff = rng.next();
     r.llm = randomString(rng);
     r.ssmLayers = rng.next();
     r.ssmPrecision = static_cast<uint8_t>(rng.next());

@@ -101,12 +101,15 @@ sampleIteration()
     JournalRecord r;
     r.type = RecordType::Iteration;
     r.iteration = 30;
-    r.degrSpeculationDisabled = 1;
-    r.degrConsecutiveFaults = 3;
-    r.degrCleanIterations = 0;
-    r.degrCurrentBackoff = 8;
-    r.degrReenableIteration = 38;
-    r.degrDisableEpisodes = 2;
+    return r;
+}
+
+JournalRecord
+sampleDegrade()
+{
+    JournalRecord r;
+    r.type = RecordType::Degrade;
+    r.degradeBackoff = 8;
     return r;
 }
 
@@ -143,7 +146,7 @@ sampleRecords()
 {
     return {sampleHeader(), sampleSubmit(), sampleBegin(),
             sampleStep(), samplePreempt(), sampleFinish(),
-            sampleIteration()};
+            sampleDegrade(), sampleIteration()};
 }
 
 void
@@ -173,13 +176,7 @@ expectEqual(const JournalRecord &got, const JournalRecord &want)
     EXPECT_EQ(got.iteration, want.iteration);
     EXPECT_EQ(got.iterNanos, want.iterNanos);
     EXPECT_EQ(got.iterSlow, want.iterSlow);
-    EXPECT_EQ(got.degrSpeculationDisabled,
-              want.degrSpeculationDisabled);
-    EXPECT_EQ(got.degrConsecutiveFaults, want.degrConsecutiveFaults);
-    EXPECT_EQ(got.degrCleanIterations, want.degrCleanIterations);
-    EXPECT_EQ(got.degrCurrentBackoff, want.degrCurrentBackoff);
-    EXPECT_EQ(got.degrReenableIteration, want.degrReenableIteration);
-    EXPECT_EQ(got.degrDisableEpisodes, want.degrDisableEpisodes);
+    EXPECT_EQ(got.degradeBackoff, want.degradeBackoff);
     EXPECT_EQ(got.llm, want.llm);
     EXPECT_EQ(got.ssmLayers, want.ssmLayers);
     EXPECT_EQ(got.ssmPrecision, want.ssmPrecision);

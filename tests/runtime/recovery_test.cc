@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -31,6 +32,7 @@
 #include "model/model_factory.h"
 #include "runtime/journal.h"
 #include "runtime/request_manager.h"
+#include "util/bytes.h"
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -86,9 +88,10 @@ runSessionRoundTrip(bool stochastic)
     for (int i = 0; i < 3 && !original.done(); ++i)
         original.step();
 
-    std::stringstream buf;
-    original.save(buf);
-    SpecSession restored = f.engine->loadSession(buf);
+    util::ByteWriter w;
+    original.save(w);
+    util::ByteReader r(w.bytes());
+    SpecSession restored = f.engine->loadSession(r);
 
     EXPECT_EQ(restored.sequence(), original.sequence());
     EXPECT_EQ(restored.logProbs(), original.logProbs());
@@ -289,6 +292,59 @@ TEST(RecoveryTest, CrashBeforeTheFinalCommitStillCommitsIt)
     EXPECT_EQ(finishedMap(recovered), finishedMap(reference));
 }
 
+TEST(RecoveryTest, ForcedDegradationSurvivesABoundaryCrash)
+{
+    // forceDegrade() (the daemon watchdog's hook) disables
+    // speculation out of band. A crash at the next iteration
+    // boundary, before any Iteration record follows, must not lose
+    // the forced window: the recovered manager resumes with the same
+    // ladder and runs as many degraded iterations as the
+    // uninterrupted run.
+    EngineFixture f;
+    ServingConfig cfg;
+    cfg.maxBatchSize = 2;
+    auto serveThenDegrade = [](RequestManager &manager) {
+        for (const std::vector<int> &prompt :
+             {std::vector<int>{4, 8, 15}, std::vector<int>{16, 23, 42}})
+            ASSERT_TRUE(manager.submit(prompt).accepted());
+        for (int it = 0; it < 2; ++it)
+            manager.runIteration();
+        manager.forceDegrade(8);
+    };
+
+    RequestManager reference(f.engine.get(), cfg);
+    std::stringstream reference_buf;
+    JournalWriter reference_journal(reference_buf);
+    reference.attachJournal(&reference_journal);
+    serveThenDegrade(reference);
+    const DegradationState forced = reference.degradation();
+    ASSERT_TRUE(forced.speculationDisabled);
+    reference.runUntilDrained();
+    ASSERT_GT(reference.stats().degradedIterations, 0u);
+
+    RequestManager crashed(f.engine.get(), cfg);
+    std::stringstream journal_buf;
+    JournalWriter journal(journal_buf);
+    crashed.attachJournal(&journal);
+    serveThenDegrade(crashed);
+    FaultInjector crasher(1);
+    crasher.armAt(FaultPoint::Crash, 1); // the boundary crash point
+    {
+        FaultScope scope(&crasher);
+        crashed.runIteration();
+    }
+    ASSERT_TRUE(crashed.crashed());
+
+    RequestManager recovered(f.engine.get(), cfg);
+    std::stringstream journal_in(journal_buf.str());
+    recovered.recover(nullptr, &journal_in);
+    EXPECT_EQ(recovered.degradation(), forced);
+    recovered.runUntilDrained();
+    EXPECT_EQ(recovered.stats().degradedIterations,
+              reference.stats().degradedIterations);
+    EXPECT_EQ(finishedMap(recovered), finishedMap(reference));
+}
+
 // ----------------------------------------------------------------
 // Tensor-parallel serving: the degree rides through snapshots.
 
@@ -380,6 +436,106 @@ TEST(RecoveryDeathTest, TpDegreeMismatchRefusesRecovery)
     std::stringstream journal_in(journal_buf.str());
     EXPECT_DEATH(mismatched.recover(&snapshot, &journal_in),
                  "tensor-parallel degree");
+}
+
+// ----------------------------------------------------------------
+// Damaged snapshots: every truncation and hostile count fails one
+// "corrupt serving snapshot" check, never a read past the buffer or
+// a loop on the count.
+
+class CorruptSnapshotDeathTest : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        // Some damage is found only after earlier sessions rebuilt
+        // their KV rows on the thread pool, which a forked child
+        // lacks: re-execute the binary for each death statement.
+        style_ = ::testing::GTEST_FLAG(death_test_style);
+        ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+
+        cfg_.maxBatchSize = 2;
+        cfg_.kvBlockTokens = 4;
+        cfg_.kvPoolBlocks = 64;
+        cfg_.kvPrefixSharing = true;
+        // A mid-run snapshot with pending, active and finished
+        // requests and resident shared prefix blocks.
+        RequestManager live(f_.engine.get(), cfg_);
+        for (int tail = 0; tail < 5; ++tail) {
+            std::vector<int> prompt = kSharedPrefix;
+            prompt.push_back(60 + tail);
+            ASSERT_TRUE(live.submit(prompt).accepted());
+        }
+        while (live.finished().empty())
+            live.runIteration();
+        live.runIteration(); // admits the next pair
+        ASSERT_GT(live.pendingCount(), 0u);
+        ASSERT_GT(live.activeCount(), 0u);
+        std::stringstream out;
+        live.writeSnapshot(out);
+        snapshot_ = out.str();
+    }
+
+    void TearDown() override
+    {
+        ::testing::GTEST_FLAG(death_test_style) = style_;
+    }
+
+    size_t recoverFrom(const std::string &bytes) const
+    {
+        RequestManager fresh(f_.engine.get(), cfg_);
+        std::stringstream in(bytes);
+        fresh.recover(&in, nullptr);
+        return fresh.pendingCount() + fresh.activeCount() +
+               fresh.finished().size();
+    }
+
+    const std::vector<int> kSharedPrefix = {5, 41, 3, 77, 12, 9, 30, 8};
+    EngineFixture f_;
+    ServingConfig cfg_;
+    std::string snapshot_;
+    std::string style_;
+};
+
+TEST_F(CorruptSnapshotDeathTest, IntactSnapshotRecovers)
+{
+    EXPECT_EQ(recoverFrom(snapshot_), 5u);
+}
+
+TEST_F(CorruptSnapshotDeathTest, TruncatedSnapshotFailsOneCheck)
+{
+    // Cut points spread over the header, the scheduler scalars, the
+    // queues, the shared-block table, the sessions and the results.
+    const size_t size = snapshot_.size();
+    std::vector<size_t> cuts = {size - 1};
+    for (size_t k = 0; k < 24; ++k)
+        cuts.push_back(size * k / 24);
+    for (size_t cut : cuts)
+        EXPECT_DEATH(recoverFrom(snapshot_.substr(0, cut)),
+                     "corrupt serving snapshot")
+            << "cut at " << cut << " of " << size;
+}
+
+TEST_F(CorruptSnapshotDeathTest, HostileCountFailsOneCheck)
+{
+    // Every copy of the shared prompt prefix (request prompts,
+    // session sequences, shared-block tokens) follows its u64
+    // element count; set each count to 2^63 in turn.
+    const std::string needle(
+        reinterpret_cast<const char *>(kSharedPrefix.data()),
+        kSharedPrefix.size() * sizeof(int));
+    size_t counts = 0;
+    for (size_t at = snapshot_.find(needle); at != std::string::npos;
+         at = snapshot_.find(needle, at + 1)) {
+        std::string bytes = snapshot_;
+        const uint64_t hostile = uint64_t{1} << 63;
+        std::memcpy(&bytes[at - sizeof(uint64_t)], &hostile,
+                    sizeof(hostile));
+        EXPECT_DEATH(recoverFrom(bytes), "corrupt serving snapshot")
+            << "count at " << (at - sizeof(uint64_t));
+        ++counts;
+    }
+    EXPECT_GE(counts, 5u);
 }
 
 // ----------------------------------------------------------------
