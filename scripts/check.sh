@@ -4,7 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
+# Warnings are errors here, so a new one fails the sweep instead of
+# scrolling past in the build log.
+cmake -B build -G Ninja -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build
 ctest --test-dir build --output-on-failure
 
@@ -113,11 +115,12 @@ cmake --build --preset asan --target test_util test_runtime \
 ./build-asan/tests/test_runtime --gtest_filter='Priority*:Overload*'
 ./build-asan/tests/test_ipc_soak --gtest_filter='*WatchdogHangWedge*'
 
-# Int8 kernel + model suites under ASan/UBSan: quantization, the
-# integer GEMM tiles (scalar and AVX2 dispatch), and the int8 SSM
-# forward/serialization paths.
+# GEMM + int8 model suites under ASan/UBSan: quantization, the
+# strided slice GEMM in both element types (random k/j slices,
+# scalar and AVX2 dispatch), and the int8 SSM forward/serialization
+# paths.
 cmake --build --preset asan --target test_tensor test_model
-./build-asan/tests/test_tensor --gtest_filter='Int8*'
+./build-asan/tests/test_tensor --gtest_filter='Int8*:SliceGemm*'
 ./build-asan/tests/test_model --gtest_filter='*Int8*'
 
 # Tensor-parallel suites under ASan/UBSan: the collective library's
@@ -141,15 +144,15 @@ SPECINFER_RECOVERY_TRIALS=300 ./build-asan/tests/test_recovery
 
 # Data-race sweep: thread pool, batched forward, fault injection,
 # recovery machinery, the prefix-sharing soak + serving equivalence
-# suites, the int8 quantize/GEMM/forward suites (row-parallel via
-# the pool), and the metrics/tracing instruments (hammered from
+# suites, the slice GEMM and int8 quantize/GEMM/forward suites
+# (row- and block-parallel via the pool), and the metrics/tracing instruments (hammered from
 # pool workers) under ThreadSanitizer.
 cmake --preset tsan
 cmake --build --preset tsan
 SPECINFER_SOAK_ITERATIONS=1500 SPECINFER_RECOVERY_TRIALS=60 \
 SPECINFER_RECOVERY_SOAK_ITERATIONS=800 \
 ctest --preset tsan \
-      -R 'ThreadPool|ThreadedForward|Fault|Recovery|Journal|Crc32|Concurrency|Tracer|WorkloadTrace|OverheadGuard|KvSharing|PrefixSharing|Ring|Int8|Watchdog|SupervisorPolicy|Priority|Overload|Parallel|Collective|ShardedForward'
+      -R 'ThreadPool|SliceGemm|ThreadedForward|Fault|Recovery|Journal|Crc32|Concurrency|Tracer|WorkloadTrace|OverheadGuard|KvSharing|PrefixSharing|Ring|Int8|Watchdog|SupervisorPolicy|Priority|Overload|Parallel|Collective|ShardedForward'
 
 for b in build/bench/*; do
     echo "=== $b ==="

@@ -114,15 +114,17 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
     // embedding stay fp32 — they are bandwidth-cheap and their
     // precision anchors the residual stream. The two scratch
     // QTensors are reused across phases and layers so the chunk
-    // allocates exactly two int8 buffers per forward. t_quant and
-    // t_i8gemm are sub-phase breakdowns: the existing phase timers
-    // (t_kv, ...) still cover the whole phase either way.
+    // allocates exactly two int8 buffers per forward; quantize() is
+    // a no-op on fp32 models. t_quant and t_i8gemm are sub-phase
+    // breakdowns: the existing phase timers (t_kv, ...) still cover
+    // the whole phase either way.
     const bool int8 = cfg_.precision == Precision::Int8;
     tensor::QTensor q_act_d;  // [m x dModel] activation scratch
     tensor::QTensor q_act_ff; // [m x dFf] activation scratch
     uint64_t t_quant = 0, t_i8gemm = 0;
-    auto quantizeInto = [&](const tensor::Tensor &src,
-                            tensor::QTensor &dst) {
+    auto quantize = [&](const tensor::Tensor &src, tensor::QTensor &dst) {
+        if (!int8)
+            return;
         const uint64_t q0 = now();
         tensor::quantizeRows(src, dst);
         t_quant += now() - q0;
@@ -157,6 +159,33 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
     };
     auto headRange = [&](size_t r) {
         return parallel::shardRange(n_heads, tp, r);
+    };
+
+    // Every projection is written once for both precisions:
+    // project(x, qx, body) runs body(r, gemm) on each rank, where
+    // gemm(w, qw, k0, k1, j0, j1, out, stride) is the
+    // matmulTransposedBSlice of activation x by weight w — or, on
+    // int8 models, of x's quantized copy qx by w's int8 mirror qw.
+    // The caller quantizes each activation buffer once, so one qx
+    // serves every GEMM that reads it. Int8 phases charge their
+    // GEMM wall time to t_i8gemm.
+    auto project = [&](const tensor::Tensor &x, const tensor::QTensor &qx,
+                       auto &&body) {
+        const uint64_t g0 = now();
+        forEachRank([&](size_t r) {
+            body(r, [&](const tensor::Tensor &w, const tensor::QTensor &qw,
+                        size_t k0, size_t k1, size_t j0, size_t j1,
+                        float *out, size_t stride) {
+                if (int8)
+                    tensor::matmulTransposedBSlice(qx, qw, k0, k1, j0, j1,
+                                                   out, stride);
+                else
+                    tensor::matmulTransposedBSlice(x, w, k0, k1, j0, j1,
+                                                   out, stride);
+            });
+        });
+        if (int8)
+            t_i8gemm += now() - g0;
     };
 
     static const std::vector<size_t> no_extras;
@@ -241,10 +270,13 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
                            rope_tab.row(i));
     });
 
+    // fp32 models have no int8 mirrors; their projections pass this
+    // empty layer as the (unread) int8 operand.
+    static const QuantizedLayer no_qlayer;
     for (size_t layer = 0; layer < cfg_.nLayers; ++layer) {
         const LayerWeights &lw = weights_->layers[layer];
-        const QuantizedLayer *ql =
-            int8 ? &weights_->qLayers[layer] : nullptr;
+        const QuantizedLayer &ql =
+            int8 ? weights_->qLayers[layer] : no_qlayer;
 
         // Attention RMSNorm, once per (layer, token); both the K/V
         // and Q projections read this buffer.
@@ -263,35 +295,19 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
         // the cache layout — and every value bit — is identical to
         // the unsharded path at any tp.
         uint64_t t0 = now();
-        if (int8) {
-            // One activation quantization of `normed` serves the K,
-            // V, and Q projections below (full-row scales, so the
-            // quantization grid never depends on tp).
-            quantizeInto(normed, q_act_d);
-        }
-        uint64_t g0 = now();
-        forEachRank([&](size_t r) {
+        // One activation quantization of `normed` serves the K, V,
+        // and Q projections below (full-row scales, so the
+        // quantization grid never depends on tp).
+        quantize(normed, q_act_d);
+        project(normed, q_act_d, [&](size_t r, auto &&gemm) {
             const auto hr = headRange(r);
             const size_t c0 = hr.first * d_head;
             const size_t c1 = hr.second * d_head;
-            if (int8) {
-                tensor::matmulTransposedBSlice(
-                    q_act_d, ql->wk, 0, d, c0, c1,
-                    cache.keyRow(layer, base) + c0, cache.kvDim());
-                tensor::matmulTransposedBSlice(
-                    q_act_d, ql->wv, 0, d, c0, c1,
-                    cache.valueRow(layer, base) + c0, cache.kvDim());
-            } else {
-                tensor::matmulTransposedBSlice(
-                    normed, lw.wk, 0, d, c0, c1,
-                    cache.keyRow(layer, base) + c0, cache.kvDim());
-                tensor::matmulTransposedBSlice(
-                    normed, lw.wv, 0, d, c0, c1,
-                    cache.valueRow(layer, base) + c0, cache.kvDim());
-            }
+            gemm(lw.wk, ql.wk, 0, d, c0, c1,
+                 cache.keyRow(layer, base) + c0, cache.kvDim());
+            gemm(lw.wv, ql.wv, 0, d, c0, c1,
+                 cache.valueRow(layer, base) + c0, cache.kvDim());
         });
-        if (int8)
-            t_i8gemm += now() - g0;
         pool.parallelFor(0, m, [&](size_t i) {
             tensor::ropeRowCached(cache.keyRow(layer, base + i),
                                   n_heads, d_head, rope_tab.row(i));
@@ -301,25 +317,13 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
 
         // Phase 2a: batched Q projection + RoPE, column-parallel by
         // heads like K/V.
-        g0 = now();
-        forEachRank([&](size_t r) {
+        project(normed, q_act_d, [&](size_t r, auto &&gemm) {
             const auto hr = headRange(r);
             const size_t c0 = hr.first * d_head;
             const size_t c1 = hr.second * d_head;
-            if (int8) {
-                tensor::matmulTransposedBSlice(q_act_d, ql->wq, 0, d,
-                                               c0, c1,
-                                               q_all.data() + c0,
-                                               q_all.cols());
-            } else {
-                tensor::matmulTransposedBSlice(normed, lw.wq, 0, d,
-                                               c0, c1,
-                                               q_all.data() + c0,
-                                               q_all.cols());
-            }
+            gemm(lw.wq, ql.wq, 0, d, c0, c1, q_all.data() + c0,
+                 q_all.cols());
         });
-        if (int8)
-            t_i8gemm += now() - g0;
         pool.parallelFor(0, m, [&](size_t i) {
             tensor::ropeRowCached(q_all.row(i), n_heads, d_head,
                                   rope_tab.row(i));
@@ -399,25 +403,13 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
         // all nHeads partials into proj with one ordered
         // allReduceSum; the fold never sees rank boundaries, so the
         // sum is bit-identical at every tp.
-        if (int8)
-            quantizeInto(attn_out, q_act_d);
-        g0 = now();
-        forEachRank([&](size_t r) {
+        quantize(attn_out, q_act_d);
+        project(attn_out, q_act_d, [&](size_t r, auto &&gemm) {
             const auto hr = headRange(r);
-            for (size_t b = hr.first; b < hr.second; ++b) {
-                if (int8) {
-                    tensor::matmulTransposedBSlice(
-                        q_act_d, ql->wo, b * d_head, (b + 1) * d_head,
-                        0, d, partials.row(b * m), d);
-                } else {
-                    tensor::matmulTransposedBSlice(
-                        attn_out, lw.wo, b * d_head, (b + 1) * d_head,
-                        0, d, partials.row(b * m), d);
-                }
-            }
+            for (size_t b = hr.first; b < hr.second; ++b)
+                gemm(lw.wo, ql.wo, b * d_head, (b + 1) * d_head, 0, d,
+                     partials.row(b * m), d);
         });
-        if (int8)
-            t_i8gemm += now() - g0;
         comm.allReduceSum(parts, proj.data(), m * d);
         pool.parallelFor(0, m, [&](size_t i) {
             tensor::addRow(hidden.row(i), proj.row(i), d);
@@ -435,55 +427,29 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
             tensor::rmsnormRow(hidden.row(i), lw.ffnNorm.data(), d,
                                normed.row(i));
         });
-        if (int8)
-            quantizeInto(normed, q_act_d);
-        g0 = now();
-        forEachRank([&](size_t r) {
+        quantize(normed, q_act_d);
+        project(normed, q_act_d, [&](size_t r, auto &&gemm) {
             const auto fr = parallel::shardRange(cfg_.dFf, tp, r);
-            if (int8) {
-                tensor::matmulTransposedBSlice(
-                    q_act_d, ql->wGate, 0, d, fr.first, fr.second,
-                    gate.data() + fr.first, gate.cols());
-                tensor::matmulTransposedBSlice(
-                    q_act_d, ql->wUp, 0, d, fr.first, fr.second,
-                    up.data() + fr.first, up.cols());
-            } else {
-                tensor::matmulTransposedBSlice(
-                    normed, lw.wGate, 0, d, fr.first, fr.second,
-                    gate.data() + fr.first, gate.cols());
-                tensor::matmulTransposedBSlice(
-                    normed, lw.wUp, 0, d, fr.first, fr.second,
-                    up.data() + fr.first, up.cols());
-            }
+            gemm(lw.wGate, ql.wGate, 0, d, fr.first, fr.second,
+                 gate.data() + fr.first, gate.cols());
+            gemm(lw.wUp, ql.wUp, 0, d, fr.first, fr.second,
+                 up.data() + fr.first, up.cols());
         });
-        if (int8)
-            t_i8gemm += now() - g0;
         pool.parallelFor(0, m, [&](size_t i) {
             tensor::siluRow(gate.row(i), cfg_.dFf);
             tensor::mulRows(gate.row(i), gate.row(i), up.row(i),
                             cfg_.dFf);
         });
-        if (int8)
-            quantizeInto(gate, q_act_ff);
-        g0 = now();
-        forEachRank([&](size_t r) {
+        quantize(gate, q_act_ff);
+        project(gate, q_act_ff, [&](size_t r, auto &&gemm) {
             const auto hr = headRange(r);
             for (size_t b = hr.first; b < hr.second; ++b) {
                 const auto fb =
                     parallel::shardRange(cfg_.dFf, n_heads, b);
-                if (int8) {
-                    tensor::matmulTransposedBSlice(
-                        q_act_ff, ql->wDown, fb.first, fb.second, 0,
-                        d, partials.row(b * m), d);
-                } else {
-                    tensor::matmulTransposedBSlice(
-                        gate, lw.wDown, fb.first, fb.second, 0, d,
-                        partials.row(b * m), d);
-                }
+                gemm(lw.wDown, ql.wDown, fb.first, fb.second, 0, d,
+                     partials.row(b * m), d);
             }
         });
-        if (int8)
-            t_i8gemm += now() - g0;
         comm.allReduceSum(parts, proj.data(), m * d);
         pool.parallelFor(0, m, [&](size_t i) {
             tensor::addRow(hidden.row(i), proj.row(i), d);
@@ -494,26 +460,20 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
     // Final norm + LM head, batched. The head is column-parallel
     // over the vocab: full-k dots into per-rank slabs, concatenated
     // by one allGather — exact, so logits match the unsharded GEMM
-    // bitwise. At tp=1 the slab and gather are skipped (the legacy
-    // direct write into logits computes the same elements).
+    // bitwise. At tp=1 the slab and gather are skipped (one direct
+    // full-range write into logits computes the same elements).
     const uint64_t t_head_start = now();
     tensor::Tensor logits(m, cfg_.vocabSize);
     pool.parallelFor(0, m, [&](size_t i) {
         tensor::rmsnormRow(hidden.row(i), weights_->finalNorm.data(),
                            d, normed.row(i));
     });
-    if (int8)
-        quantizeInto(normed, q_act_d);
-    uint64_t g0 = now();
+    quantize(normed, q_act_d);
     if (tp == 1) {
-        if (int8) {
-            tensor::matmulTransposedBInto(q_act_d, weights_->qLmHead,
-                                          logits.data(),
-                                          logits.cols());
-        } else {
-            tensor::matmulTransposedB(normed, weights_->lmHead,
-                                      logits);
-        }
+        project(normed, q_act_d, [&](size_t, auto &&gemm) {
+            gemm(weights_->lmHead, weights_->qLmHead, 0, d, 0,
+                 cfg_.vocabSize, logits.data(), logits.cols());
+        });
     } else {
         std::vector<tensor::Tensor> lm_shards;
         std::vector<const float *> lm_srcs(tp);
@@ -525,28 +485,15 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
                 m, std::max(vr.second - vr.first, size_t{1}));
             lm_srcs[r] = lm_shards[r].data();
         }
-        forEachRank([&](size_t r) {
+        project(normed, q_act_d, [&](size_t r, auto &&gemm) {
             const auto vr =
                 parallel::shardRange(cfg_.vocabSize, tp, r);
-            if (vr.second == vr.first)
-                return;
-            if (int8) {
-                tensor::matmulTransposedBSlice(
-                    q_act_d, weights_->qLmHead, 0, d, vr.first,
-                    vr.second, lm_shards[r].data(),
-                    lm_shards[r].cols());
-            } else {
-                tensor::matmulTransposedBSlice(
-                    normed, weights_->lmHead, 0, d, vr.first,
-                    vr.second, lm_shards[r].data(),
-                    lm_shards[r].cols());
-            }
+            gemm(weights_->lmHead, weights_->qLmHead, 0, d, vr.first,
+                 vr.second, lm_shards[r].data(), lm_shards[r].cols());
         });
         comm.allGatherColumns(lm_srcs, m, cfg_.vocabSize,
                               logits.data());
     }
-    if (int8)
-        t_i8gemm += now() - g0;
     pool.parallelFor(0, m, [&](size_t i) {
         tensor::scaleRow(logits.row(i), cfg_.vocabSize,
                          cfg_.logitScale);

@@ -1019,6 +1019,22 @@ RequestManager::publishMetrics()
         kvPool_->publishUsage();
 }
 
+uint8_t
+RequestManager::ssmPrecision() const
+{
+    const std::vector<const model::Transformer *> ssms =
+        engine_->ssms();
+    return static_cast<uint8_t>(ssms.empty()
+                                    ? model::Precision::Fp32
+                                    : ssms.front()->config().precision);
+}
+
+uint8_t
+RequestManager::tpDegree() const
+{
+    return static_cast<uint8_t>(engine_->llm().config().tensorParallel);
+}
+
 void
 RequestManager::attachJournal(JournalWriter *journal)
 {
@@ -1032,13 +1048,13 @@ RequestManager::attachJournal(JournalWriter *journal)
     rec.type = RecordType::Header;
     rec.llm = engine_->llm().config().name;
     rec.ssmLayers = ssms.empty() ? 0 : ssms.front()->config().nLayers;
-    rec.ssmPrecision = cfg_.ssmPrecision;
+    rec.ssmPrecision = ssmPrecision();
     rec.expansion = ecfg.spec.expansion.toString();
     rec.seed = ecfg.seed;
     rec.engineMaxNewTokens = ecfg.maxNewTokens;
     rec.temperature = ecfg.llmSampling.temperature;
     rec.maxBatchSize = cfg_.maxBatchSize;
-    rec.tpDegree = cfg_.tpDegree;
+    rec.tpDegree = tpDegree();
     journal_->append(rec);
 }
 
@@ -1090,8 +1106,8 @@ RequestManager::writeSnapshot(std::ostream &out) const
     w.pod<uint32_t>(kSnapMagic);
     w.pod<uint32_t>(kSnapVersion);
     w.pod<uint64_t>(journal_ ? journal_->bytesWritten() : 0);
-    w.pod<uint8_t>(cfg_.ssmPrecision);
-    w.pod<uint8_t>(cfg_.tpDegree);
+    w.pod<uint8_t>(ssmPrecision());
+    w.pod<uint8_t>(tpDegree());
     visitSnapshotScalars(*this, [&w](const auto &field) {
         w.pod<uint64_t>(field);
     });
@@ -1337,19 +1353,19 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
         SPECINFER_CHECK(r.ok() && magic == kSnapMagic, kCorruptSnapshot);
         SPECINFER_CHECK(version == kSnapVersion,
                         "unsupported snapshot version " << version);
-        SPECINFER_CHECK(snap_precision == cfg_.ssmPrecision,
+        SPECINFER_CHECK(snap_precision == ssmPrecision(),
                         "snapshot was taken with SSM precision "
                             << unsigned(snap_precision)
-                            << " but this manager is configured for "
-                            << unsigned(cfg_.ssmPrecision)
+                            << " but this manager's engine runs "
+                            << unsigned(ssmPrecision())
                             << "; recovery must replay under the "
                                "same draft-model numerics");
-        SPECINFER_CHECK(snap_tp == cfg_.tpDegree,
+        SPECINFER_CHECK(snap_tp == tpDegree(),
                         "snapshot was taken with tensor-parallel "
                         "degree "
                             << unsigned(snap_tp)
-                            << " but this manager is configured for "
-                            << unsigned(cfg_.tpDegree)
+                            << " but this manager's engine runs "
+                            << unsigned(tpDegree())
                             << "; recovery must replay under the "
                                "same sharded execution shape");
         visitSnapshotScalars(*this, [&r](auto &field) {

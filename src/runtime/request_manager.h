@@ -99,29 +99,6 @@ struct ServingConfig
      */
     bool kvPrefixSharing = false;
 
-    /**
-     * Precision the serving engine's SSMs run at (raw
-     * model::Precision value). Recorded in snapshots: crash recovery
-     * replays the journal through the same engine the crashed
-     * process used, and an SSM precision switch mid-recovery would
-     * silently replay under different draft numerics. Greedy
-     * verification makes final tokens independent of SSM precision,
-     * but recover() still refuses the mismatch — recovery is defined
-     * as reproducing the crashed process, not a near miss of it.
-     */
-    uint8_t ssmPrecision = 0;
-
-    /**
-     * Tensor-parallel degree the serving models run at (see
-     * ModelConfig::tensorParallel), persisted into snapshots for the
-     * same reason as ssmPrecision: the sharded forward is proven
-     * bit-identical across degrees, but recovery is defined as
-     * reproducing the crashed process's exact execution shape, so
-     * recover() refuses a snapshot taken under a different degree
-     * rather than relying on that proof at recovery time.
-     */
-    uint8_t tpDegree = 1;
-
     // --- Robustness / graceful-degradation knobs ------------------
 
     /** Bounded pending queue: submit() rejects with
@@ -665,6 +642,20 @@ class RequestManager
     /** Record an injected crash: serving_crashes counter plus a
      *  scheduler-track instant annotation. */
     void noteCrash();
+
+    /**
+     * The engine's execution shape, read from its models: the first
+     * SSM's model::Precision (fp32 without an SSM) and the LLM's
+     * tensor-parallel degree. The journal Header and snapshots
+     * record both, and recover() refuses a snapshot taken under a
+     * different shape: greedy verification makes final tokens
+     * independent of SSM precision and the sharded forward is
+     * bit-identical across degrees, but recovery is defined as
+     * reproducing the crashed process's exact execution, not a near
+     * miss of it.
+     */
+    uint8_t ssmPrecision() const;
+    uint8_t tpDegree() const;
 
     const core::SpecEngine *engine_;
     ServingConfig cfg_;

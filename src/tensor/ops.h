@@ -29,72 +29,50 @@ void matmul(const Tensor &a, const Tensor &b, Tensor &out);
 /**
  * out = a * b^T, where a is [m x k] and b is [n x k].
  * Weight matrices are stored row-major as [out_dim x in_dim], so this
- * is the natural kernel for linear layers.
+ * is the natural kernel for linear layers. The full-range
+ * matmulTransposedBSlice written densely into out.
  * @pre out has shape [m x n] and does not alias a or b.
  */
 void matmulTransposedB(const Tensor &a, const Tensor &b, Tensor &out);
 
 /**
- * Batched bias-free linear layer into caller-owned storage:
- * out[i * out_stride + j] = dot(a.row(i), b.row(j)) for an [m x k]
- * activation matrix a and [n x k] weight matrix b. The strided
- * destination lets one GEMM write rows that live inside a larger
- * buffer (KV-cache rows, logits), fusing the per-token projection
- * loop of tree-based parallel decoding into a single cache-blocked,
- * row-parallel kernel.
- *
- * Bit-exactness contract: every output element is computed as
- * dotRow(a.row(i), b.row(j), k) regardless of blocking or thread
- * count, so results are identical to the scalar matvec path.
- *
- * @pre out_stride >= b.rows(); out does not alias a or b.
- */
-void matmulTransposedBInto(const Tensor &a, const Tensor &b,
-                           float *out, size_t out_stride);
-
-/**
- * Integer variant of matmulTransposedBInto: both operands are int8
- * with per-row scales, and out[i * out_stride + j] =
+ * Integer variant of matmulTransposedB: both operands are int8 with
+ * per-row scales, and out[i][j] =
  * float(dotRowI8(a.row(i), b.row(j), k)) * (a.scale(i) * b.scale(j)).
- *
- * Bit-exactness contract, stronger than the float kernels': the
- * int32 dot is exact, so any blocking, thread split, or ISA (scalar
- * vs the AVX2 maddubs tile) yields identical integers, and the one
- * float expression above is fixed — results are bit-identical across
- * SPECINFER_THREADS and dispatch by construction.
- *
- * @pre a.cols() == b.cols(); out_stride >= b.rows(); out does not
- *      alias a or b.
+ * The full-range int8 matmulTransposedBSlice written densely into out.
+ * @pre out has shape [a.rows() x b.rows()].
  */
-void matmulTransposedBInto(const QTensor &a, const QTensor &b,
-                           float *out, size_t out_stride);
-
-/** Dense-output wrapper. @pre out has shape [a.rows() x b.rows()]. */
 void matmulTransposedB(const QTensor &a, const QTensor &b, Tensor &out);
 
 /**
- * Rectangular slice of the transposed-B GEMM, the primitive behind
- * tensor-parallel sharding (src/parallel): for weight rows j in
- * [j0, j1) and the k-slice [k0, k1),
+ * Batched bias-free linear layer into caller-owned storage, the one
+ * GEMM every projection runs through: for weight rows j in [j0, j1)
+ * and the k-slice [k0, k1),
  *
  *   out[i * out_stride + (j - j0)] =
  *       dotRow(a.row(i) + k0, b.row(j) + k0, k1 - k0)
  *
- * A column-parallel layer takes the full k range and a j shard (the
- * rank's output slab, dense with width j1 - j0); a row-parallel
- * layer takes the full j range and a k shard (one canonical reduce
- * block's partial product). k0 == k1 is legal and writes 0.0f
- * (dotRow over zero elements) — empty canonical blocks must still
- * contribute a well-defined partial to the ordered reduction.
+ * The strided destination lets one GEMM write rows that live inside
+ * a larger buffer (KV-cache rows, logits), fusing the per-token
+ * projection loop of tree-based parallel decoding into a single
+ * cache-blocked, row-parallel kernel; columns past j1 - j0 of each
+ * output row are left untouched. The slice is the primitive behind
+ * tensor-parallel sharding (src/parallel): a column-parallel layer
+ * takes the full k range and a j shard (the rank's output slab,
+ * dense with width j1 - j0); a row-parallel layer takes the full j
+ * range and a k shard (one canonical reduce block's partial
+ * product); an unsharded layer takes both full ranges. k0 == k1 is
+ * legal and writes 0.0f (dotRow over zero elements) — empty
+ * canonical blocks must still contribute a well-defined partial to
+ * the ordered reduction.
  *
  * Bit-exactness contract: each element is one dotRow over the
  * slice, identical bits regardless of blocking, thread count, or
- * ISA; with the full k range it equals the unsliced kernel's
- * element exactly. The full-matrix call (k0 == 0, k1 == k, j0 == 0,
- * j1 == n) delegates to matmulTransposedBInto, so tp=1 callers keep
- * the legacy tiles and threading policy.
+ * ISA (one scalar tile and one AVX2 tile restating dotRow), so
+ * results equal the scalar matvec path and a full-k column shard
+ * equals the same columns of the full product exactly.
  *
- * @pre k0 <= k1 <= a.cols(); j0 <= j1 <= b.rows();
+ * @pre k0 <= k1 <= a.cols() == b.cols(); j0 <= j1 <= b.rows();
  *      out_stride >= j1 - j0; out does not alias a or b.
  */
 void matmulTransposedBSlice(const Tensor &a, const Tensor &b,
@@ -110,8 +88,12 @@ void matmulTransposedBSlice(const Tensor &a, const Tensor &b,
  *       float(dotRowI8(a.row(i) + k0, b.row(j) + k0, k1 - k0))
  *           * (a.scale(i) * b.scale(j)).
  *
- * The slice dot is exact integer math, so results are bit-identical
- * across blocking, threads, and dispatch — and a sum of k-slice
+ * Bit-exactness contract, stronger than the float kernel's: the
+ * int32 slice dot is exact, so any blocking, thread split, or ISA
+ * (the scalar tile vs the AVX2 maddubs tile with its 4-weight-row
+ * micro-kernel) yields identical integers, and the one float
+ * expression above is fixed — results are bit-identical across
+ * SPECINFER_THREADS and dispatch by construction. A sum of k-slice
  * partials folded in canonical order is the sharded int8 path's
  * deterministic replacement for the full-k dot.
  */

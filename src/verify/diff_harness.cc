@@ -1158,8 +1158,6 @@ replayJournal(std::istream &in, std::ostream &log, bool verbose)
 
     runtime::ServingConfig scfg;
     scfg.maxBatchSize = static_cast<size_t>(header.maxBatchSize);
-    scfg.ssmPrecision = header.ssmPrecision;
-    scfg.tpDegree = header.tpDegree;
     runtime::RequestManager manager(&engine, scfg);
 
     // Re-submit at the journaled arrival iterations: the gaps

@@ -92,7 +92,6 @@ TEST(DaemonSoakTest, ChaosSoakKeepsEveryInvariant)
     scfg.maxBatchSize = 3;
     scfg.kvPoolBlocks = 64; // exercises the leak assertion
     scfg.kvBlockTokens = 16;
-    scfg.tpDegree = 2;
 
     DaemonConfig dcfg = f.daemonConfig();
     dcfg.journalPath = f.dir + "/soak.wal";
@@ -373,9 +372,10 @@ TEST(DaemonSoakTest, WatchdogHangWedgeChaosSoakRecovers)
                 const ClientStatus status = lc.client->poll();
                 ASSERT_NE(status, ClientStatus::Corrupt)
                     << "round " << round;
-                if (status == ClientStatus::LeaseRevoked)
+                if (status == ClientStatus::LeaseRevoked) {
                     ASSERT_EQ(lc.client->reconnect(),
                               ClientStatus::Pending);
+                }
             }
             daemon->tick();
 
@@ -393,18 +393,21 @@ TEST(DaemonSoakTest, WatchdogHangWedgeChaosSoakRecovers)
     } // faults disarmed; the settle phase runs clean
 
     for (size_t r = 0; r < dcfg.leaseTicks + 8; ++r) {
-        for (LiveClient &lc : clients)
-            if (lc.client->poll() == ClientStatus::LeaseRevoked)
+        for (LiveClient &lc : clients) {
+            if (lc.client->poll() == ClientStatus::LeaseRevoked) {
                 ASSERT_EQ(lc.client->reconnect(),
                           ClientStatus::Pending);
+            }
+        }
         daemon->tick();
     }
     for (size_t r = 0; r < 8000; ++r) {
         size_t inflight = 0;
         for (LiveClient &lc : clients) {
-            if (lc.client->poll() == ClientStatus::LeaseRevoked)
+            if (lc.client->poll() == ClientStatus::LeaseRevoked) {
                 ASSERT_EQ(lc.client->reconnect(),
                           ClientStatus::Pending);
+            }
             inflight += lc.client->inflightCount();
         }
         daemon->tick();

@@ -399,7 +399,6 @@ TEST(DaemonTest, ShardedDaemonMatchesUnshardedOracleAndReplays)
     core::SpecEngine engine(&llm, {&ssm}, Fixture::engineConfig());
 
     runtime::ServingConfig scfg = f.servingConfig();
-    scfg.tpDegree = 2;
     DaemonConfig dcfg = f.daemonConfig();
     dcfg.journalPath = f.dir + "/sharded.wal";
     Daemon daemon(&engine, scfg, dcfg);

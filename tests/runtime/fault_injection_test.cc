@@ -274,8 +274,9 @@ TEST(FaultInjectionTest, CancelPendingAndActive)
     ASSERT_EQ(manager.finished().size(), 2u);
     for (const RequestResult &res : manager.finished()) {
         EXPECT_EQ(res.stopReason, SpecSession::StopReason::Cancelled);
-        if (res.id == queued)
+        if (res.id == queued) {
             EXPECT_TRUE(res.tokens.empty());
+        }
         if (res.id == running) {
             EXPECT_GT(res.tokens.size(), 0u);
             ASSERT_LE(res.tokens.size(), full.size());
@@ -401,8 +402,9 @@ TEST(FaultInjectionTest, PreemptionBudgetFailsCleanly)
         // Budget respected: at most maxPreemptions requeues plus
         // the final budget-exceeded preemption.
         EXPECT_LE(res.preemptions, cfg.maxPreemptions + 1);
-        if (res.stopReason == SpecSession::StopReason::Preempted)
+        if (res.stopReason == SpecSession::StopReason::Preempted) {
             EXPECT_EQ(res.preemptions, cfg.maxPreemptions + 1);
+        }
     }
 }
 

@@ -245,7 +245,7 @@ TEST(PriorityTest, RandomizedShedSoakProtectsHigherClasses)
 
             const Priority cls = kClasses[rng.uniformInt(3)];
             std::vector<int> prompt;
-            for (int k = 0; k < 2 + rng.uniformInt(4); ++k)
+            for (uint64_t k = 0; k < 2 + rng.uniformInt(4); ++k)
                 prompt.push_back(2 + rng.uniformInt(12));
             SubmitResult s = mgr.submit(prompt, 0, 0, cls);
             if (s.accepted())
@@ -263,14 +263,17 @@ TEST(PriorityTest, RandomizedShedSoakProtectsHigherClasses)
                     << "round " << round
                     << ": shed Standard while Batch was pending";
             }
-            if (st.shedByClass[kBatch] != before[kBatch])
+            if (st.shedByClass[kBatch] != before[kBatch]) {
                 ASSERT_NE(cls, Priority::Batch) << "round " << round;
-            if (s.reject == RejectReason::QueueFull)
+            }
+            if (s.reject == RejectReason::QueueFull) {
                 // Rejected instead of shedding: nobody pending was
                 // strictly lower-class than the arrival.
                 for (size_t c = static_cast<size_t>(cls) + 1; c < 3;
-                     ++c)
+                     ++c) {
                     ASSERT_EQ(census[c], 0u) << "round " << round;
+                }
+            }
         }
         if (rng.uniformInt(100) < 40)
             mgr.runIteration();
@@ -282,8 +285,9 @@ TEST(PriorityTest, RandomizedShedSoakProtectsHigherClasses)
     EXPECT_EQ(st.shedByClass[kInter], 0u);
     EXPECT_GT(st.shedRequests, 0u) << "storm never overflowed";
     EXPECT_GT(queue_full, 0u) << "storm never hit QueueFull";
-    if (mgr.kvPool() != nullptr)
+    if (mgr.kvPool() != nullptr) {
         EXPECT_EQ(mgr.kvPool()->usedBlocks(), 0u);
+    }
 }
 
 TEST(PriorityTest, WallClockDeadlineExpiresPendingRequest)

@@ -382,7 +382,6 @@ TEST(RecoveryTest, ShardedServingRecoversBitIdentically)
     ShardedEngineFixture f(2);
     ServingConfig cfg;
     cfg.maxBatchSize = 2;
-    cfg.tpDegree = 2;
 
     RequestManager live(f.engine.get(), cfg);
     std::stringstream journal_buf;
@@ -413,29 +412,87 @@ TEST(RecoveryTest, ShardedServingRecoversBitIdentically)
     EXPECT_EQ(finishedMap(recovered), finishedMap(reference));
 }
 
-TEST(RecoveryDeathTest, TpDegreeMismatchRefusesRecovery)
+/** A snapshot of a tp=1 manager over the fp32-SSM EngineFixture,
+ *  taken after one iteration, with the journal it indexes into. */
+void
+snapshotUnshardedFp32(std::stringstream &snapshot,
+                      std::stringstream &journal_buf)
 {
-    // A snapshot taken at tp=1 must not silently resume under a
-    // resharded manager: the typed check names both degrees.
     EngineFixture f;
     ServingConfig cfg;
     cfg.maxBatchSize = 2;
     RequestManager live(f.engine.get(), cfg);
-    std::stringstream journal_buf;
     JournalWriter journal(journal_buf);
     live.attachJournal(&journal);
     ASSERT_TRUE(live.submit({4, 8, 15}).accepted());
     live.runIteration();
-    std::stringstream snapshot;
     live.writeSnapshot(snapshot);
+}
 
-    ServingConfig sharded_cfg;
-    sharded_cfg.maxBatchSize = 2;
-    sharded_cfg.tpDegree = 2;
-    RequestManager mismatched(f.engine.get(), sharded_cfg);
+TEST(RecoveryDeathTest, TpDegreeMismatchRefusesRecovery)
+{
+    // A snapshot taken at tp=1 must not silently resume on a tp=2
+    // engine: the typed check names both degrees.
+    std::stringstream snapshot, journal_buf;
+    snapshotUnshardedFp32(snapshot, journal_buf);
+
+    ShardedEngineFixture sharded(2);
+    ServingConfig cfg;
+    cfg.maxBatchSize = 2;
+    RequestManager mismatched(sharded.engine.get(), cfg);
     std::stringstream journal_in(journal_buf.str());
     EXPECT_DEATH(mismatched.recover(&snapshot, &journal_in),
-                 "tensor-parallel degree");
+                 "tensor-parallel degree 1 but this manager's engine "
+                 "runs 2");
+}
+
+TEST(RecoveryDeathTest, SsmPrecisionMismatchRefusesRecovery)
+{
+    // A snapshot taken with fp32 drafting must not silently resume
+    // on an engine whose SSM runs int8.
+    std::stringstream snapshot, journal_buf;
+    snapshotUnshardedFp32(snapshot, journal_buf);
+
+    model::Transformer llm = tinyLlm();
+    model::Transformer int8_ssm = model::makeInt8Ssm(llm, 2);
+    core::EngineConfig ecfg = core::EngineConfig::greedyDefault();
+    ecfg.spec.expansion = core::ExpansionConfig::uniform(2, 3);
+    ecfg.maxNewTokens = 14;
+    ecfg.stopAtEos = false;
+    core::SpecEngine engine(&llm, {&int8_ssm}, ecfg);
+    ServingConfig cfg;
+    cfg.maxBatchSize = 2;
+    RequestManager mismatched(&engine, cfg);
+    std::stringstream journal_in(journal_buf.str());
+    EXPECT_DEATH(mismatched.recover(&snapshot, &journal_in),
+                 "SSM precision 0 but this manager's engine runs 1");
+}
+
+TEST(RecoveryTest, JournalHeaderRecordsTheEngineShape)
+{
+    // A default ServingConfig says nothing about the engine's
+    // execution shape, so the Header must read it from the models:
+    // an int8 SSM over a tp=2 LLM journals precision 1 and degree 2,
+    // which is what diffcheck --replay-journal rebuilds.
+    model::ModelConfig llm_cfg = specinfer::testing::tinyConfig();
+    llm_cfg.tensorParallel = 2;
+    model::Transformer llm = model::makeLlm(llm_cfg);
+    model::Transformer int8_ssm = model::makeInt8Ssm(llm, 2);
+    core::SpecEngine engine(&llm, {&int8_ssm},
+                            core::EngineConfig::greedyDefault());
+    RequestManager manager(&engine, ServingConfig{});
+    std::stringstream journal_buf;
+    JournalWriter journal(journal_buf);
+    manager.attachJournal(&journal);
+
+    std::stringstream journal_in(journal_buf.str());
+    JournalReader reader(journal_in);
+    JournalRecord header;
+    ASSERT_TRUE(reader.next(header));
+    ASSERT_EQ(header.type, RecordType::Header);
+    EXPECT_EQ(header.ssmPrecision,
+              static_cast<uint8_t>(model::Precision::Int8));
+    EXPECT_EQ(header.tpDegree, 2u);
 }
 
 // ----------------------------------------------------------------

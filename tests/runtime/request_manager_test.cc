@@ -177,10 +177,12 @@ TEST(RequestManagerTest, PerRequestTokenBudgetHonored)
     manager.runUntilDrained();
     ASSERT_EQ(manager.finished().size(), 2u);
     for (const RequestResult &res : manager.finished()) {
-        if (res.id == short_id)
+        if (res.id == short_id) {
             EXPECT_EQ(res.tokens.size(), 3u);
-        if (res.id == long_id)
+        }
+        if (res.id == long_id) {
             EXPECT_EQ(res.tokens.size(), 12u);
+        }
     }
 }
 

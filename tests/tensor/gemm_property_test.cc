@@ -3,7 +3,7 @@
  * Property tests for the cache-blocked, row-parallel GEMM kernels:
  * blocked results must match a naive reference on odd shapes (m = 1,
  * k not a multiple of the unroll or block width), the strided
- * matmulTransposedBInto must leave the gap columns untouched, and
+ * matmulTransposedBSlice must leave the gap columns untouched, and
  * every kernel must be bit-identical across pool sizes — the
  * determinism contract the differential oracle depends on.
  */
@@ -96,8 +96,8 @@ TEST(GemmPropertyTest, StridedIntoWritesRowsAndLeavesGapAlone)
     Tensor a = randomTensor(m, k, 5);
     Tensor b = randomTensor(n, k, 6);
     std::vector<float> buf(m * stride, -7.5f);
-    specinfer::tensor::matmulTransposedBInto(a, b, buf.data(),
-                                             stride);
+    specinfer::tensor::matmulTransposedBSlice(a, b, 0, k, 0, n,
+                                              buf.data(), stride);
     Tensor dense(m, n);
     specinfer::tensor::matmulTransposedB(a, b, dense);
     for (size_t i = 0; i < m; ++i) {

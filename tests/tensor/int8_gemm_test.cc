@@ -129,8 +129,8 @@ TEST(Int8GemmTest, StridedIntoWritesRowsAndLeavesGapAlone)
     specinfer::tensor::quantizeRows(a, qa);
     specinfer::tensor::quantizeRows(b, qb);
     std::vector<float> buf(m * stride, -7.5f);
-    specinfer::tensor::matmulTransposedBInto(qa, qb, buf.data(),
-                                             stride);
+    specinfer::tensor::matmulTransposedBSlice(qa, qb, 0, k, 0, n,
+                                              buf.data(), stride);
     Tensor dense(m, n);
     specinfer::tensor::matmulTransposedB(qa, qb, dense);
     for (size_t i = 0; i < m; ++i) {

@@ -52,18 +52,12 @@ int
 serveJournaled(core::SpecEngine &engine,
                const workload::PromptDataset &dataset,
                size_t num_prompts, size_t batch,
-               model::Precision ssm_precision, size_t tp_degree,
                const std::string &journal_path, size_t snap_every,
                int64_t crash_after, bool recover_mode,
                bool journal_fsync, bool verbose)
 {
     runtime::ServingConfig scfg;
     scfg.maxBatchSize = batch;
-    // Persisted in every snapshot: recovery refuses to resume a run
-    // under a different SSM precision or tensor-parallel degree
-    // than it crashed with.
-    scfg.ssmPrecision = static_cast<uint8_t>(ssm_precision);
-    scfg.tpDegree = static_cast<uint8_t>(tp_degree);
     scfg.journalFsync = journal_fsync;
     runtime::RequestManager manager(&engine, scfg);
 
@@ -205,8 +199,7 @@ main(int argc, char **argv)
     if (!journal_path.empty()) {
         int rc = serveJournaled(
             engine, dataset, num_prompts,
-            static_cast<size_t>(flags.getInt("batch", 4)),
-            ssm_precision, llm_cfg.tensorParallel, journal_path,
+            static_cast<size_t>(flags.getInt("batch", 4)), journal_path,
             static_cast<size_t>(flags.getInt("snapshot-every", 32)),
             flags.getInt("crash-after", -1),
             flags.getBool("recover"),

@@ -135,8 +135,6 @@ main(int argc, char **argv)
     runtime::ServingConfig serving;
     serving.maxBatchSize =
         static_cast<size_t>(flags.getInt("batch", 4));
-    serving.ssmPrecision = static_cast<uint8_t>(ssm_precision);
-    serving.tpDegree = static_cast<uint8_t>(tp_degree);
     serving.obs = obs_ctx.get();
     serving.journalFsync = flags.getBool("journal-fsync");
     serving.defaultWallDeadlineNanos =
