@@ -34,7 +34,7 @@ main()
     size_t worst = 0;
     for (size_t i = 0; i < requests; ++i)
         worst = std::max(worst, dataset.prompt(i).size());
-    worst += cfg.maxNewTokens + engine.treeBudget() + 2;
+    worst = engine.kvTokensFor(worst + cfg.maxNewTokens);
     runtime::KvBlockAllocator probe(100000, block_tokens);
     const size_t worst_blocks = probe.blocksFor(worst);
 

@@ -70,8 +70,8 @@ struct SharingBench
         // preemption behaviour.
         core::SpecEngine probe(&models.llm, {&models.ssm},
                                engineCfg);
-        const size_t worst = longest + engineCfg.maxNewTokens +
-                             probe.treeBudget() + 2;
+        const size_t worst =
+            probe.kvTokensFor(longest + engineCfg.maxNewTokens);
         runtime::KvBlockAllocator sizer(100000, kBlockTokens);
         poolBlocks = kRequests * sizer.blocksFor(worst);
     }

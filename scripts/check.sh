@@ -104,14 +104,15 @@ cmake --build --preset asan --target test_fault
 ./build-asan/tests/test_fault
 
 # Overload-resilience suites under ASan/UBSan: watchdog arm/fire,
-# supervisor backoff/crash-loop schedules, QoS priority scheduling +
+# supervisor backoff/crash-loop schedules, the shared jittered-
+# backoff formula, QoS priority scheduling +
 # shed/deadline policies, per-class token buckets, and the daemon
 # hang/wedge chaos soak (injected stalls, frozen heartbeats, and
 # supervisor-style kill/restart cycles over one journal).
 cmake --build --preset asan --target test_util test_runtime \
       test_ipc_soak
 ./build-asan/tests/test_util \
-    --gtest_filter='Watchdog*:SupervisorPolicy*'
+    --gtest_filter='Watchdog*:SupervisorPolicy*:JitteredBackoff*'
 ./build-asan/tests/test_runtime --gtest_filter='Priority*:Overload*'
 ./build-asan/tests/test_ipc_soak --gtest_filter='*WatchdogHangWedge*'
 
@@ -152,7 +153,7 @@ cmake --build --preset tsan
 SPECINFER_SOAK_ITERATIONS=1500 SPECINFER_RECOVERY_TRIALS=60 \
 SPECINFER_RECOVERY_SOAK_ITERATIONS=800 \
 ctest --preset tsan \
-      -R 'ThreadPool|SliceGemm|ThreadedForward|Fault|Recovery|Journal|Crc32|Concurrency|Tracer|WorkloadTrace|OverheadGuard|KvSharing|PrefixSharing|Ring|Int8|Watchdog|SupervisorPolicy|Priority|Overload|Parallel|Collective|ShardedForward'
+      -R 'ThreadPool|SliceGemm|ThreadedForward|Fault|Recovery|Journal|Crc32|Concurrency|Tracer|WorkloadTrace|OverheadGuard|KvSharing|PrefixSharing|Ring|Int8|Watchdog|SupervisorPolicy|JitteredBackoff|Priority|Overload|Parallel|Collective|ShardedForward'
 
 for b in build/bench/*; do
     echo "=== $b ==="

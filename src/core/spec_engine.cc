@@ -140,7 +140,13 @@ SpecEngine::SpecEngine(const model::Transformer *llm,
     // tree can hold up to one budget's worth of nodes per SSM.
     const size_t pool = speculator_ ? speculator_->ssmCount() : 1;
     treeBudget_ = cfg_.spec.nodeBudget() * pool;
-    cacheCapacity_ = llm_->config().maxSeqLen + treeBudget_ + 2;
+    cacheCapacity_ = kvTokensFor(llm_->config().maxSeqLen);
+}
+
+bool
+SpecEngine::promptFits(size_t prompt_len) const
+{
+    return prompt_len > 0 && prompt_len + 2 < llm_->config().maxSeqLen;
 }
 
 SpecSession
@@ -183,9 +189,9 @@ SpecSession::SpecSession(const SpecEngine *engine,
       rng_(request_seed),
       track_(track)
 {
-    SPECINFER_CHECK(!seq_.empty(), "empty prompt");
-    SPECINFER_CHECK(seq_.size() + 2 < engine->llm_->config().maxSeqLen,
-                    "prompt does not fit in the sequence budget");
+    SPECINFER_CHECK(engine->promptFits(seq_.size()),
+                    "prompt is empty or does not fit in the sequence "
+                    "budget");
     if (engine_->speculator_)
         ssmCaches_ = engine_->speculator_->makeCaches(
             engine_->cacheCapacity_);
@@ -414,8 +420,7 @@ SpecEngine::loadSession(util::ByteReader &r) const
     const uint64_t cached = r.pod<uint64_t>();
     const int vocab = static_cast<int>(llm_->config().vocabSize);
     SPECINFER_CHECK(
-        r.ok() && prompt_len > 0 && prompt_len <= seq.size() &&
-            prompt_len + 2 < llm_->config().maxSeqLen &&
+        r.ok() && promptFits(prompt_len) && prompt_len <= seq.size() &&
             cached <= seq.size() &&
             stop <= static_cast<uint8_t>(SpecSession::StopReason::Shed) &&
             std::all_of(seq.begin(), seq.end(),
@@ -669,8 +674,7 @@ SpecSession::step(bool allow_speculation)
         return;
     }
     // Stop before the next tree could overflow the sequence budget.
-    const size_t next_peak = seq_.size() + engine_->treeBudget_ + 2;
-    if (next_peak >= llm.config().maxSeqLen) {
+    if (engine_->kvTokensFor(seq_.size()) >= llm.config().maxSeqLen) {
         stopReason_ = StopReason::CapacityLimit;
         done_ = true;
     }

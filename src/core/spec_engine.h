@@ -336,10 +336,25 @@ class SpecEngine
                            : std::vector<const model::Transformer *>{};
     }
 
-    /** Maximum speculated nodes a merged token tree can hold (the
-     *  per-iteration KV headroom a request needs beyond its
-     *  sequence). */
+    /** Maximum speculated nodes a merged token tree can hold. */
     size_t treeBudget() const { return treeBudget_; }
+
+    /**
+     * The one KV-footprint rule: cached tokens a sequence of
+     * `sequence_len` tokens needs to run its next iteration — the
+     * sequence, two tokens of headroom, and one in-flight token tree
+     * of treeBudget() nodes. It sizes every cache, stops a session
+     * whose next tree would overflow the sequence budget, and is
+     * every KV reservation the serving runtime makes.
+     */
+    size_t kvTokensFor(size_t sequence_len) const
+    {
+        return sequence_len + 2 + treeBudget_;
+    }
+
+    /** A prompt is servable when it is non-empty and leaves room for
+     *  two more tokens in the LLM's sequence budget. */
+    bool promptFits(size_t prompt_len) const;
 
     /**
      * Create a session for one request.

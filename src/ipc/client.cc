@@ -43,10 +43,8 @@ Client::backoffSleep(size_t failures)
 {
     if (cfg_.backoffUnitMicros == 0)
         return;
-    const size_t shift = std::min<size_t>(failures, 10);
-    const uint64_t base = uint64_t{1} << shift;
     const uint64_t units =
-        base + jitterRng_.uniformInt(base / 2 + 1);
+        util::jitteredBackoff(jitterRng_, 1, failures, 1024);
     std::this_thread::sleep_for(std::chrono::microseconds(
         units * cfg_.backoffUnitMicros));
 }

@@ -10,6 +10,7 @@
 #include <iterator>
 #include <ostream>
 #include <sstream>
+#include <tuple>
 #include <type_traits>
 
 #include "obs/obs.h"
@@ -100,6 +101,21 @@ readResult(util::ByteReader &r)
     return res;
 }
 
+/**
+ * The one victim order, for shedding a pending request and for
+ * preempting an active one: the victim is the request with the
+ * largest (class, id) key — lowest QoS class first (Batch before
+ * Standard before Interactive), latest arrival within a class. Ids
+ * grow with submission order, so the order is total, and a request
+ * may only preempt one after it in this order: two requests never
+ * evict each other forever.
+ */
+bool
+victimLess(const Request &a, const Request &b)
+{
+    return std::tie(a.priority, a.id) < std::tie(b.priority, b.id);
+}
+
 } // namespace
 
 RequestManager::RequestManager(const core::SpecEngine *engine,
@@ -141,66 +157,18 @@ RequestManager::RequestManager(const core::SpecEngine *engine,
     }
 }
 
-void
-RequestManager::refillBucket(size_t cls)
+RequestManager::IngressBucket
+RequestManager::ingressBucket(size_t cls) const
 {
-    const uint64_t every = cfg_.classRefillEveryIterations[cls];
-    const uint64_t elapsed =
-        stats_.iterations - bucketRefillIteration_[cls];
-    const uint64_t periods = elapsed / every;
-    if (periods == 0)
-        return;
-    bucketLevel_[cls] =
-        std::min<uint64_t>(bucketLevel_[cls] + periods,
-                           cfg_.classBucketCapacity[cls]);
-    // Advance by whole periods only, so chunked refills compose to
+    // Whole refill periods only, so chunked refills compose to
     // exactly the single-shot refill (replay at arbitrary points
     // lands on the same level).
-    bucketRefillIteration_[cls] += periods * every;
-}
-
-bool
-RequestManager::bucketAdmit(Priority priority, uint64_t &retry_after)
-{
-    const size_t cls = static_cast<size_t>(priority);
-    if (cfg_.classBucketCapacity[cls] == 0)
-        return true; // unmetered class
-    refillBucket(cls);
-    if (bucketLevel_[cls] == 0) {
-        const uint64_t every = cfg_.classRefillEveryIterations[cls];
-        retry_after = bucketRefillIteration_[cls] + every -
-                      stats_.iterations;
-        return false;
-    }
-    return true;
-}
-
-void
-RequestManager::consumeBucketToken(Priority priority)
-{
-    const size_t cls = static_cast<size_t>(priority);
-    if (cfg_.classBucketCapacity[cls] == 0)
-        return;
-    refillBucket(cls);
-    if (bucketLevel_[cls] > 0)
-        --bucketLevel_[cls];
-}
-
-size_t
-RequestManager::shedVictimIndex() const
-{
-    // Lowest class first (Batch before Standard before
-    // Interactive), latest arrival within a class: an Interactive
-    // request is never shed while any Batch request remains.
-    size_t victim = pending_.size();
-    for (size_t j = 0; j < pending_.size(); ++j) {
-        if (victim == pending_.size() ||
-            pending_[j].priority > pending_[victim].priority ||
-            (pending_[j].priority == pending_[victim].priority &&
-             pending_[j].id > pending_[victim].id))
-            victim = j;
-    }
-    return victim;
+    const uint64_t every = cfg_.classRefillEveryIterations[cls];
+    const uint64_t periods =
+        (stats_.iterations - bucketRefillIteration_[cls]) / every;
+    return {std::min<uint64_t>(bucketLevel_[cls] + periods,
+                               cfg_.classBucketCapacity[cls]),
+            bucketRefillIteration_[cls] + periods * every};
 }
 
 SubmitResult
@@ -213,19 +181,23 @@ RequestManager::submit(std::vector<int> prompt,
     SubmitResult out;
     // Unserveable requests are typed rejections, not aborts: an
     // overloaded or misused serving pipeline must shed, never die.
-    if (prompt.empty() ||
-        prompt.size() + 2 >= engine_->llm().config().maxSeqLen) {
+    if (!engine_->promptFits(prompt.size())) {
         out.reject = RejectReason::InvalidPrompt;
         ++stats_.rejectedNeverFits;
         return out;
     }
-    // Per-class ingress metering: an empty bucket is overload for
-    // this class specifically — other classes keep their own
-    // budget, so a Batch burst cannot drain Interactive ingress.
-    // The token is only *consumed* by apply(Submit): rejected
-    // submits are not journaled, so they must not mutate bucket
-    // state replay cannot reconstruct.
-    if (!bucketAdmit(priority, out.retryAfterIterations)) {
+    // Per-class ingress metering (0 capacity = unmetered): an empty
+    // bucket is overload for this class specifically — other
+    // classes keep their own budget, so a Batch burst cannot drain
+    // Interactive ingress. Only apply(Submit) takes the token:
+    // rejected submits are not journaled, so they leave the bucket
+    // as replay will find it.
+    const size_t cls = static_cast<size_t>(priority);
+    const IngressBucket bucket = ingressBucket(cls);
+    if (cfg_.classBucketCapacity[cls] > 0 && bucket.level == 0) {
+        out.retryAfterIterations = bucket.refillIteration +
+                                   cfg_.classRefillEveryIterations[cls] -
+                                   stats_.iterations;
         out.reject = RejectReason::Overloaded;
         ++stats_.rejectedOverloaded;
         return out;
@@ -248,20 +220,18 @@ RequestManager::submit(std::vector<int> prompt,
             kvPool_->totalBlocks();
     if (cfg_.maxPendingRequests > 0 &&
         pending_.size() >= cfg_.maxPendingRequests) {
-        // Shed-under-pressure: a full queue yields to a
-        // higher-class arrival by shedding the lowest-class
-        // (latest-arrival) pending request; equal-or-higher-class
-        // arrivals (and unserveable ones — no point displacing a
-        // viable request for them) are rejected as before.
-        const size_t victim = shedVictimIndex();
-        if (never_fits || victim == pending_.size() ||
-            pending_[victim].priority <= priority) {
+        // Shed-under-pressure: a full queue yields to an arrival of
+        // a strictly higher class than its victim by shedding the
+        // victim; other arrivals (and unserveable ones — no point
+        // displacing a viable request for them) are rejected.
+        const auto victim =
+            std::max_element(pending_.begin(), pending_.end(), victimLess);
+        if (never_fits || victim->priority <= priority) {
             out.reject = RejectReason::QueueFull;
             ++stats_.rejectedQueueFull;
             return out;
         }
-        commitFinish(pending_[victim].id,
-                     core::SpecSession::StopReason::Shed);
+        commitFinish(victim->id, core::SpecSession::StopReason::Shed);
     }
     if (never_fits) {
         out.reject = RejectReason::NeverFits;
@@ -319,20 +289,14 @@ RequestManager::kvFragmentation() const
 }
 
 size_t
-RequestManager::worstCaseTokens(const Request &req) const
+RequestManager::admissionTokens(const Request &req) const
 {
+    if (cfg_.kvPolicy == KvReservationPolicy::OnDemand)
+        return engine_->kvTokensFor(req.prompt.size());
     const size_t budget = req.maxNewTokens > 0
                               ? req.maxNewTokens
                               : engine_->config().maxNewTokens;
-    return req.prompt.size() + budget + engine_->treeBudget() + 2;
-}
-
-size_t
-RequestManager::admissionTokens(const Request &req) const
-{
-    return cfg_.kvPolicy == KvReservationPolicy::WorstCase
-               ? worstCaseTokens(req)
-               : req.prompt.size() + engine_->treeBudget() + 2;
+    return engine_->kvTokensFor(req.prompt.size() + budget);
 }
 
 uint64_t
@@ -364,19 +328,6 @@ RequestManager::settleCow(ActiveRequest &ar)
         return;
     kvPool_->cowShared(ar.request.id, ar.cowPending);
     ar.cowPending = 0;
-}
-
-size_t
-RequestManager::jitteredBackoff(size_t preemption_count)
-{
-    const size_t shift = std::min<size_t>(preemption_count, 16);
-    const size_t base =
-        std::min(size_t{1} << shift, cfg_.preemptBackoffCap);
-    // One draw per preemption, in apply(Preempt) on both paths,
-    // keeps the RNG cursor aligned across recovery.
-    const size_t jitter = static_cast<size_t>(
-        backoffRng_.uniformInt(static_cast<uint64_t>(base / 2 + 1)));
-    return base + jitter;
 }
 
 size_t
@@ -554,70 +505,27 @@ RequestManager::preempt(size_t index)
     }
     if (cfg_.maxPendingRequests > 0 &&
         pending_.size() > cfg_.maxPendingRequests) {
-        // The requeue overflowed the bounded queue; shed the
-        // lowest-class latest-arrival request to restore the bound.
-        commitFinish(pending_[shedVictimIndex()].id,
-                     core::SpecSession::StopReason::Shed);
+        // The requeue overflowed the bounded queue: shed the pending
+        // victim to restore the bound.
+        const auto victim =
+            std::max_element(pending_.begin(), pending_.end(), victimLess);
+        commitFinish(victim->id, core::SpecSession::StopReason::Shed);
     }
-}
-
-size_t
-RequestManager::preemptLowestClass(uint64_t requester_id,
-                                   Priority requester_priority)
-{
-    // Request ids increase with submission order, so (class, id) is
-    // a total victimization order: a requester may steal from a
-    // strictly lower class, or from a strictly later arrival of its
-    // own class — never the reverse, so two requests cannot evict
-    // each other forever. Among eligible victims the lowest class
-    // goes first, then the latest arrival within that class.
-    size_t victim = active_.size();
-    for (size_t i = 0; i < active_.size(); ++i) {
-        const Request &cand = active_[i].request;
-        const bool eligible =
-            cand.priority > requester_priority ||
-            (cand.priority == requester_priority &&
-             cand.id > requester_id);
-        if (!eligible)
-            continue;
-        if (victim == active_.size() ||
-            cand.priority > active_[victim].request.priority ||
-            (cand.priority == active_[victim].request.priority &&
-             cand.id > active_[victim].request.id))
-            victim = i;
-    }
-    if (victim == active_.size())
-        return kNoVictim;
-    // Release memory and requeue for a fresh (recomputed) start;
-    // seeding by request id keeps the eventual output identical.
-    preempt(victim);
-    return victim;
 }
 
 bool
-RequestManager::deadlineExpired(const Request &req) const
+RequestManager::deadlineExpired(const Request &req,
+                                uint64_t now_nanos) const
 {
     if (req.deadlineIterations > 0 &&
         stats_.iterations >=
             req.arrivalIteration + req.deadlineIterations)
         return true;
     // Wall-clock budget on the injectable clock, checked against
-    // the once-per-iteration cached reading: real stalls consume it
-    // even while the iteration clock stands still.
+    // the once-per-iteration reading: real stalls consume it even
+    // while the iteration clock stands still.
     return req.deadlineNanos > 0 && obs_ != nullptr &&
-           nowNanos_ >= req.deadlineNanos;
-}
-
-void
-RequestManager::expirePendingDeadlines()
-{
-    for (size_t j = 0; j < pending_.size();) {
-        if (deadlineExpired(pending_[j]))
-            commitFinish(pending_[j].id,
-                         core::SpecSession::StopReason::Deadline);
-        else
-            ++j;
-    }
+           now_nanos >= req.deadlineNanos;
 }
 
 bool
@@ -646,7 +554,7 @@ RequestManager::updateDegradation(size_t iteration) const
             next.currentBackoff == 0
                 ? cfg_.degradeBackoffIterations
                 : std::min(next.currentBackoff * 2,
-                           cfg_.degradeBackoffMax);
+                           kDegradeBackoffMax);
         next.reenableIteration = iteration + next.currentBackoff;
         next.speculationDisabled = true;
         ++next.disableEpisodes;
@@ -752,19 +660,26 @@ RequestManager::admitPending()
 void
 RequestManager::beginIteration()
 {
-    // One wall-clock reading per iteration: every wall-deadline
-    // decision this iteration compares against it, keeping the
-    // number of clock reads independent of queue contents (a
-    // ManualClock schedule stays aligned across recovery).
-    nowNanos_ = obs_ != nullptr ? obs_->nowNanos() : 0;
+    // One wall-clock reading per iteration, which apply(Begin)
+    // stores: every wall-deadline decision this iteration compares
+    // against it, keeping the number of clock reads independent of
+    // queue contents (a ManualClock schedule stays aligned across
+    // recovery).
+    const uint64_t now = obs_ != nullptr ? obs_->nowNanos() : 0;
     // Requests whose deadline expired while queued fail before
     // consuming a batch slot.
-    expirePendingDeadlines();
+    for (size_t j = 0; j < pending_.size();) {
+        if (deadlineExpired(pending_[j], now))
+            commitFinish(pending_[j].id,
+                         core::SpecSession::StopReason::Deadline);
+        else
+            ++j;
+    }
     admitPending();
     JournalRecord rec;
     rec.type = RecordType::Begin;
     rec.iteration = stats_.iterations;
-    rec.iterNanos = nowNanos_;
+    rec.iterNanos = now;
     // Injected straggler: the iteration clock jumps forward,
     // consuming deadline budget exactly as a slow iteration would.
     rec.iterSlow = !active_.empty() &&
@@ -849,9 +764,9 @@ RequestManager::runIteration()
     // One decoding iteration per active request (iteration-level
     // scheduling: requests at different progress advance together).
     // Under on-demand paging a request's growth may exhaust the
-    // pool mid-flight; the youngest active request is then
-    // preempted and restarted later (vLLM-style recompute), within
-    // its retry budget.
+    // pool mid-flight; the active victim is then preempted and
+    // restarted later (vLLM-style recompute), within its retry
+    // budget.
     const bool allow_spec = !degr_.speculationDisabled;
     for (size_t i = 0; i < active_.size();) {
         // Already stepped in this (resumed) iteration.
@@ -860,14 +775,14 @@ RequestManager::runIteration()
             continue;
         }
         const uint64_t id = active_[i].request.id;
-        if (deadlineExpired(active_[i].request)) {
+        if (deadlineExpired(active_[i].request, nowNanos_)) {
             commitFinish(id, core::SpecSession::StopReason::Deadline);
             continue;
         }
         if (kvPool_ &&
             cfg_.kvPolicy == KvReservationPolicy::OnDemand) {
-            const size_t need = active_[i].session.sequence().size() +
-                                engine_->treeBudget() + 2;
+            const size_t need =
+                engine_->kvTokensFor(active_[i].session.sequence().size());
             // canReserve gates the growth so backpressure resolved
             // by preemption never counts as an allocation failure;
             // an injected allocation fault is indistinguishable from
@@ -880,10 +795,21 @@ RequestManager::runIteration()
             };
             bool ok = can_grow();
             while (!ok) {
-                const size_t erased = preemptLowestClass(
-                    id, active_[i].request.priority);
-                if (erased == kNoVictim)
+                // Only a victim after this request in victim order
+                // may go; the largest key is one whenever any is.
+                const auto victim = std::max_element(
+                    active_.begin(), active_.end(),
+                    [](const ActiveRequest &a, const ActiveRequest &b) {
+                        return victimLess(a.request, b.request);
+                    });
+                if (!victimLess(active_[i].request, victim->request))
                     break;
+                // Release its memory and requeue it for a fresh
+                // (recomputed) start; seeding by request id keeps
+                // its eventual output identical.
+                const size_t erased =
+                    static_cast<size_t>(victim - active_.begin());
+                preempt(erased);
                 if (erased < i)
                     --i; // our element shifted left
                 ok = can_grow();
@@ -1175,9 +1101,14 @@ RequestManager::apply(const JournalRecord &rec)
         req.deadlineIterations = rec.deadlineIterations;
         req.deadlineNanos = rec.deadlineNanos;
         req.priority = static_cast<Priority>(rec.priority);
-        // The iteration clock is the same on both paths, so the lazy
+        // The iteration clock is the same on both paths, so the
         // refill lands on the same bucket level.
-        consumeBucketToken(req.priority);
+        const size_t cls = rec.priority;
+        if (cfg_.classBucketCapacity[cls] > 0) {
+            const IngressBucket bucket = ingressBucket(cls);
+            bucketLevel_[cls] = bucket.level - (bucket.level > 0 ? 1 : 0);
+            bucketRefillIteration_[cls] = bucket.refillIteration;
+        }
         nextId_ = std::max(nextId_, rec.id + 1);
         pending_.push_back(std::move(req));
         ++stats_.requestsSubmitted;
@@ -1232,10 +1163,9 @@ RequestManager::apply(const JournalRecord &rec)
         ActiveRequest &ar = active_[idx];
         if (kvPool_ &&
             cfg_.kvPolicy == KvReservationPolicy::OnDemand) {
-            // The step's growth: its pre-step sequence plus a tree.
-            const size_t need = ar.session.sequence().size() -
-                                rec.tokens.size() +
-                                engine_->treeBudget() + 2;
+            // The step's growth: its pre-step sequence's footprint.
+            const size_t need = engine_->kvTokensFor(
+                ar.session.sequence().size() - rec.tokens.size());
             SPECINFER_CHECK(kvPool_->reserve(rec.id, need),
                             "KV growth failed for " << rec.id);
         }
@@ -1270,9 +1200,13 @@ RequestManager::apply(const JournalRecord &rec)
         // instead of immediately re-stealing what it just lost, and
         // the seeded jitter keeps a cohort of preempted requests
         // from re-colliding in lockstep.
+        // One draw per preemption, here on both paths, keeps the RNG
+        // cursor aligned across recovery.
         ++req.preemptionCount;
         req.earliestRestart =
-            stats_.iterations + jitteredBackoff(req.preemptionCount);
+            stats_.iterations +
+            util::jitteredBackoff(backoffRng_, 1, req.preemptionCount,
+                                  kPreemptBackoffCap);
         pending_.push_front(std::move(req));
         break;
       }

@@ -66,9 +66,18 @@ enum class KvReservationPolicy
 
     /** Reserve blocks on demand as sequences grow (vLLM-style
      *  paging); admits more requests but may have to preempt and
-     *  restart the youngest request on pool exhaustion. */
+     *  restart a victim (lowest class, latest arrival) on pool
+     *  exhaustion. */
     OnDemand,
 };
+
+/** Cap on the exponential re-admission backoff after a preemption
+ *  (iterations). */
+inline constexpr size_t kPreemptBackoffCap = 64;
+
+/** Cap on the degradation ladder's speculation-disable window
+ *  (iterations). */
+inline constexpr size_t kDegradeBackoffMax = 256;
 
 /** Request manager configuration. */
 struct ServingConfig
@@ -114,10 +123,6 @@ struct ServingConfig
      *  of retrying forever (0 = unlimited retries). */
     size_t maxPreemptions = 0;
 
-    /** Cap on the exponential re-admission backoff applied after
-     *  each preemption (iterations). */
-    size_t preemptBackoffCap = 64;
-
     /**
      * Seed of the RNG that jitters the preemption re-admission
      * backoff. Deterministic backoff makes every preempted request
@@ -133,11 +138,8 @@ struct ServingConfig
     size_t degradeAfterConsecutiveFaults = 3;
 
     /** Initial speculation-disable window (iterations); doubles on
-     *  each repeated degradation up to degradeBackoffMax. */
+     *  each repeated degradation up to kDegradeBackoffMax. */
     size_t degradeBackoffIterations = 8;
-
-    /** Upper bound on the degradation backoff window. */
-    size_t degradeBackoffMax = 256;
 
     /** Iteration-clock penalty applied when an injected straggler
      *  (FaultPoint::SlowIteration) fires: the clock advances this
@@ -497,12 +499,9 @@ class RequestManager
     bool crashed() const { return crashed_; }
 
   private:
-    /** Worst-case cached tokens for a request over its lifetime. */
-    size_t worstCaseTokens(const Request &req) const;
-
     /** Tokens the active reservation policy requires at admission:
-     *  the full lifetime footprint under WorstCase, one iteration's
-     *  worth (prompt + tree + bonus) under OnDemand. */
+     *  the whole lifetime (prompt + generation budget) under
+     *  WorstCase, the prompt's next iteration under OnDemand. */
     size_t admissionTokens(const Request &req) const;
 
     /** Admit the request's KV holding (shared chain + private
@@ -510,8 +509,6 @@ class RequestManager
      *  caller must have checked canAdmit; aborts on failure. Returns
      *  the partial-match hash to release at first write (0 = none). */
     uint64_t admitKv(const Request &req, core::SpecSession *session);
-
-    static constexpr size_t kNoVictim = static_cast<size_t>(-1);
 
     struct ActiveRequest
     {
@@ -532,31 +529,9 @@ class RequestManager
      *  request's first step wrote past its divergence point. */
     void settleCow(ActiveRequest &ar);
 
-    /**
-     * Preempt an active request to free memory for `requester`.
-     * Victim order: lowest QoS class first (Batch before Standard
-     * before Interactive), latest arrival within a class. A
-     * requester may only steal from a strictly lower class, or from
-     * a strictly later arrival in its own class — a total order on
-     * (class, id) that keeps preemption livelock-free, exactly as
-     * the plain FCFS id order did before classes existed. Releases
-     * the victim's memory and requeues it for a fresh start — or,
-     * when the victim's preemption budget is exhausted, fails it
-     * with StopReason::Preempted.
-     * @return the erased index, or kNoVictim if none.
-     */
-    size_t preemptLowestClass(uint64_t requester_id,
-                              Priority requester_priority);
-
-    /** Jittered exponential re-admission backoff for the given
-     *  preemption count: base 2^count capped at preemptBackoffCap,
-     *  plus a seeded uniform jitter in [0, base/2]. Consumes one
-     *  draw from backoffRng_, inside apply(Preempt) on both paths. */
-    size_t jitteredBackoff(size_t preemption_count);
-
     /** Preempt active_[index]: requeue it with backoff, or fail it
-     *  cleanly when its retry budget is exhausted; sheds the newest
-     *  pending request if the requeue overflows a bounded queue. */
+     *  cleanly when its retry budget is exhausted; sheds the pending
+     *  victim if the requeue overflows a bounded queue. */
     void preempt(size_t index);
 
     /** Commit the Finish of a pending or active request. */
@@ -569,39 +544,27 @@ class RequestManager
                 size_t start_iteration,
                 core::SpecSession::StopReason reason);
 
-    /** Fail pending requests whose deadline (iteration budget or
-     *  wall clock) already expired. */
-    void expirePendingDeadlines();
+    /** True when the request's iteration-budget deadline, or its
+     *  wall-clock deadline at the iteration's clock reading
+     *  `now_nanos`, has passed. */
+    bool deadlineExpired(const Request &req, uint64_t now_nanos) const;
 
-    /** True when the request's iteration-budget or wall-clock
-     *  deadline has passed (wall clock read once per iteration
-     *  into nowNanos_). */
-    bool deadlineExpired(const Request &req) const;
-
-    /** Refill the class bucket up to the current iteration (lazy,
-     *  idempotent: advances in whole refill periods only). */
-    void refillBucket(size_t cls);
-
-    /** Check the class has an ingress token; on an empty bucket
-     *  returns false with the iterations until the next token in
-     *  `retry_after`. Unmetered classes always admit. Does not
-     *  consume — only accepted (journaled) submits mutate bucket
-     *  state, or replay would diverge. */
-    bool bucketAdmit(Priority priority, uint64_t &retry_after);
-
-    /** Consume one ingress token (apply(Submit)). */
-    void consumeBucketToken(Priority priority);
-
-    /** Shed victim among pending_: lowest class first, latest
-     *  arrival within a class; pending_.size() when none. */
-    size_t shedVictimIndex() const;
+    /** A class's ingress bucket refilled to the current iteration:
+     *  its token level and refill cursor. */
+    struct IngressBucket
+    {
+        uint64_t level;
+        uint64_t refillIteration;
+    };
+    IngressBucket ingressBucket(size_t cls) const;
 
     /** The degradation ladder after the open iteration commits as
      *  `iteration`, fed by its step evidence. */
     DegradationState updateDegradation(size_t iteration) const;
 
-    /** Start a fresh iteration: read the clock, expire queued
-     *  deadlines, admit into free slots, commit Begin. */
+    /** Start a fresh iteration: read the clock, fail queued
+     *  requests whose deadline expired, admit into free slots,
+     *  commit Begin. */
     void beginIteration();
 
     /** Admit pending requests into the free batch slots. */
@@ -622,9 +585,10 @@ class RequestManager
     /**
      * The transition function: the only code that moves requests
      * between pending, active and finished, reserves and releases
-     * KV, consumes ingress tokens, advances the iteration clock and
-     * counts accepted requests in ServingStats. Live serving and
-     * recovery both run it, record by record.
+     * KV, consumes ingress tokens, advances the iteration and wall
+     * clocks and counts accepted requests in ServingStats. Live
+     * serving and recovery both run it, record by record; every
+     * scheduling decision is a read of the state it maintains.
      */
     void apply(const JournalRecord &rec);
 
@@ -681,14 +645,16 @@ class RequestManager
      *  apply(Preempt) draws on both paths, so recovery stays
      *  bit-identical. */
     util::Rng backoffRng_;
-    /** Per-class ingress token buckets (see classBucketCapacity).
-     *  Snapshotted; apply(Submit) consumes on both paths, so
-     *  recovery sees the same admission decisions. */
+    /** Per-class ingress token buckets (see classBucketCapacity),
+     *  as of their last refill. Snapshotted; apply(Submit) refills
+     *  and consumes on both paths, so recovery sees the same
+     *  admission decisions. */
     uint64_t bucketLevel_[kPriorityCount] = {0, 0, 0};
     uint64_t bucketRefillIteration_[kPriorityCount] = {0, 0, 0};
-    /** Wall-clock reading cached once per iteration (and at
-     *  submit); all wall-deadline decisions compare against this,
-     *  never a fresh read, so a ManualClock drives them exactly. */
+    /** Wall-clock reading of the open iteration, stored by
+     *  apply(Begin); all wall-deadline decisions in the iteration
+     *  compare against it, never a fresh read, so a ManualClock
+     *  drives them exactly. */
     uint64_t nowNanos_ = 0;
 
     /**

@@ -60,10 +60,18 @@ class ByteWriter
     const std::vector<uint8_t> &bytes() const { return buf_; }
 
   private:
-    void append(const void *data, size_t size)
+    // Out of line: inlined into a run of fixed-size pod() calls,
+    // GCC 12 at -O3 reports false -Warray-bounds and
+    // -Wstringop-overflow errors on the vector's growth path.
+    [[gnu::noinline]] void append(const void *data, size_t size)
     {
-        const uint8_t *raw = static_cast<const uint8_t *>(data);
-        buf_.insert(buf_.end(), raw, raw + size);
+        // An empty vector's data() may be null, and memcpy from null
+        // is undefined even for zero bytes.
+        if (size == 0)
+            return;
+        const size_t at = buf_.size();
+        buf_.resize(at + size);
+        std::memcpy(buf_.data() + at, data, size);
     }
 
     std::vector<uint8_t> buf_;

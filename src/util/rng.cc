@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/bytes.h"
@@ -26,6 +27,14 @@ readRngState(ByteReader &r)
     state.hasCachedNormal = r.pod<uint8_t>() != 0;
     state.cachedNormal = r.pod<double>();
     return state;
+}
+
+uint64_t
+jitteredBackoff(Rng &rng, uint64_t unit, size_t doublings, uint64_t cap)
+{
+    const uint64_t base =
+        std::min(unit << std::min<size_t>(doublings, 16), cap);
+    return base + rng.uniformInt(base / 2 + 1);
 }
 
 uint64_t

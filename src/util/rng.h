@@ -120,6 +120,17 @@ class Rng
     double cachedNormal_ = 0.0;
 };
 
+/**
+ * Seeded-jitter exponential backoff, the one formula behind the
+ * preemption re-admission, client reconnect and supervisor restart
+ * delays: base = min(unit << min(doublings, 16), cap), plus a
+ * uniform jitter in [0, base/2]. Exactly one draw per call, so a
+ * schedule replays from the seed. The jitter keeps a cohort that
+ * failed together from retrying in lockstep.
+ */
+uint64_t jitteredBackoff(Rng &rng, uint64_t unit, size_t doublings,
+                         uint64_t cap);
+
 /** splitmix64 step; useful for hashing strings/ids into seeds. */
 uint64_t splitmix64(uint64_t &state);
 

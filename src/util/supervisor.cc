@@ -1,7 +1,5 @@
 #include "util/supervisor.h"
 
-#include <algorithm>
-
 namespace specinfer {
 namespace util {
 
@@ -48,17 +46,13 @@ SupervisorPolicy::onChildExit(uint64_t now_millis)
         }
     }
 
-    // Seeded-jitter exponential backoff: base 2^(k-1) * base,
-    // capped, plus uniform jitter in [0, base/2] — restarting
-    // fleets de-synchronize while every schedule replays from the
-    // seed. One draw per restart, granted or not, keeps the cursor
-    // aligned with the decision count.
-    const size_t shift =
-        std::min<size_t>(consecutive_ > 0 ? consecutive_ - 1 : 0, 16);
-    const uint64_t base =
-        std::min(cfg_.backoffBaseMillis << shift,
-                 cfg_.backoffCapMillis);
-    out.delayMillis = base + rng_.uniformInt(base / 2 + 1);
+    // Backoff base 2^(k-1) * backoffBaseMillis, capped and jittered:
+    // restarting fleets de-synchronize while every schedule replays
+    // from the seed. One draw per restart, granted or not, keeps the
+    // cursor aligned with the decision count.
+    out.delayMillis =
+        jitteredBackoff(rng_, cfg_.backoffBaseMillis, consecutive_ - 1,
+                        cfg_.backoffCapMillis);
     out.action = Action::Restart;
     ++restarts_;
     return out;

@@ -729,9 +729,8 @@ runRecoveryTrial(uint64_t seed, bool verbose)
         }
         const size_t budget =
             a.maxNew > 0 ? a.maxNew : ecfg.maxNewTokens;
-        worst_tokens =
-            std::max(worst_tokens, a.prompt.size() + budget +
-                                       engine.treeBudget() + 2);
+        worst_tokens = std::max(
+            worst_tokens, engine.kvTokensFor(a.prompt.size() + budget));
         script.push_back(std::move(a));
     }
     std::sort(script.begin(), script.end(),

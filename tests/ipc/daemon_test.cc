@@ -570,8 +570,8 @@ TEST(DaemonTest, PreemptionBackoffJitterIsSeededAndHarmless)
     std::vector<int> p1 = {5, 9, 2, 11};
     std::vector<int> p2 = {6, 3, 8, 1};
 
-    const size_t per_request = p1.size() + ecfg.maxNewTokens +
-                               engine.treeBudget() + 2;
+    const size_t per_request =
+        engine.kvTokensFor(p1.size() + ecfg.maxNewTokens);
     runtime::ServingConfig base;
     base.maxBatchSize = 2;
     base.kvBlockTokens = 8;

@@ -67,8 +67,7 @@ TEST(FaultSoakTest, RandomFaultScheduleKeepsEveryInvariant)
     cfg.kvBlockTokens = 8;
     // ~2.5 worst-case footprints: real memory pressure on top of
     // the injected allocation faults.
-    size_t per_request =
-        6 + ecfg.maxNewTokens + engine.treeBudget() + 2;
+    size_t per_request = engine.kvTokensFor(6 + ecfg.maxNewTokens);
     KvBlockAllocator probe(1000, 8);
     cfg.kvPoolBlocks = probe.blocksFor(per_request) * 5 / 2;
     cfg.kvPolicy = KvReservationPolicy::OnDemand;

@@ -399,8 +399,8 @@ TEST(KvAdmissionTest, WorstCasePolicyBoundsConcurrency)
 {
     Fixture f;
     // Worst case per request: 4 prompt + 12 gen + treeBudget + 2.
-    size_t per_request = f.engine.config().maxNewTokens + 4 +
-                         f.engine.treeBudget() + 2;
+    size_t per_request =
+        f.engine.kvTokensFor(f.engine.config().maxNewTokens + 4);
     ServingConfig cfg;
     cfg.maxBatchSize = 8;
     cfg.kvBlockTokens = 8;
@@ -430,8 +430,7 @@ TEST(KvAdmissionTest, OnDemandAdmitsMoreThanWorstCase)
     ecfg.maxNewTokens = 48;
     core::SpecEngine engine(&f.llm, {&f.ssm}, ecfg);
 
-    size_t per_request =
-        48 + 4 + engine.treeBudget() + 2; // worst case tokens
+    size_t per_request = engine.kvTokensFor(48 + 4); // worst case tokens
     ServingConfig cfg;
     cfg.maxBatchSize = 8;
     cfg.kvBlockTokens = 8;
@@ -457,8 +456,8 @@ TEST(KvAdmissionTest, PreemptionPreservesOutputs)
     tight.maxBatchSize = 4;
     tight.kvBlockTokens = 8;
     // Enough for ~1.5 requests' worst case: forces paging pressure.
-    size_t per_request = f.engine.config().maxNewTokens + 4 +
-                         f.engine.treeBudget() + 2;
+    size_t per_request =
+        f.engine.kvTokensFor(f.engine.config().maxNewTokens + 4);
     KvBlockAllocator probe(1000, 8);
     tight.kvPoolBlocks =
         probe.blocksFor(per_request) * 3 / 2;
@@ -492,8 +491,8 @@ TEST(KvAdmissionTest, TightPoolTerminates)
     // could evict each other forever. FCFS priority guarantees the
     // earliest active request always progresses.
     Fixture f;
-    size_t per_request = f.engine.config().maxNewTokens + 4 +
-                         f.engine.treeBudget() + 2;
+    size_t per_request =
+        f.engine.kvTokensFor(f.engine.config().maxNewTokens + 4);
     ServingConfig cfg;
     cfg.maxBatchSize = 4;
     cfg.kvBlockTokens = 8;
@@ -520,8 +519,8 @@ TEST(KvAdmissionTest, EarliestActiveIsNeverPreempted)
     // later arrivals may be reordered among themselves by the
     // re-admission backoff.)
     Fixture f;
-    size_t per_request = f.engine.config().maxNewTokens + 4 +
-                         f.engine.treeBudget() + 2;
+    size_t per_request =
+        f.engine.kvTokensFor(f.engine.config().maxNewTokens + 4);
     ServingConfig cfg;
     cfg.maxBatchSize = 4;
     cfg.kvBlockTokens = 8;
@@ -569,8 +568,8 @@ TEST(KvAdmissionTest, AbortPathsNeverDoubleRelease)
     // manager under a tight pool and require zero redundant
     // releases and an empty pool at the end.
     Fixture f;
-    size_t per_request = f.engine.config().maxNewTokens + 4 +
-                         f.engine.treeBudget() + 2;
+    size_t per_request =
+        f.engine.kvTokensFor(f.engine.config().maxNewTokens + 4);
     ServingConfig cfg;
     cfg.maxBatchSize = 4;
     cfg.kvBlockTokens = 8;
@@ -600,8 +599,8 @@ TEST(KvAdmissionTest, FullPoolBackpressureCountsNoFailures)
     // routine backpressure was indistinguishable from real
     // allocation failure. Waiting must count nothing.
     Fixture f;
-    size_t per_request = f.engine.config().maxNewTokens + 4 +
-                         f.engine.treeBudget() + 2;
+    size_t per_request =
+        f.engine.kvTokensFor(f.engine.config().maxNewTokens + 4);
     ServingConfig cfg;
     cfg.maxBatchSize = 4;
     cfg.kvBlockTokens = 8;
@@ -629,11 +628,9 @@ TEST(KvAdmissionTest, NeverFitsIsPolicyConsistent)
     // could actually start (and, with sharing, serve cheaply).
     Fixture f;
     const std::vector<int> prompt = promptFor(0); // 4 tokens
-    const size_t admit_tokens =
-        prompt.size() + f.engine.treeBudget() + 2;
-    const size_t worst = prompt.size() +
-                         f.engine.config().maxNewTokens +
-                         f.engine.treeBudget() + 2;
+    const size_t admit_tokens = f.engine.kvTokensFor(prompt.size());
+    const size_t worst = f.engine.kvTokensFor(
+        prompt.size() + f.engine.config().maxNewTokens);
     ServingConfig cfg;
     cfg.kvBlockTokens = 8;
     KvBlockAllocator probe(1000, 8);

@@ -36,8 +36,7 @@ TEST(PreemptionFcfsTest, TwoStarvedRequestsNeverLivelock)
     // hold their full footprint, so the later one must be preempted
     // at least once — the exact schedule where the pre-FCFS victim
     // rule (most-recently-restarted) cycled forever.
-    size_t per_request =
-        p1.size() + ecfg.maxNewTokens + engine.treeBudget() + 2;
+    size_t per_request = engine.kvTokensFor(p1.size() + ecfg.maxNewTokens);
     ServingConfig cfg;
     cfg.maxBatchSize = 2;
     cfg.kvBlockTokens = 8;

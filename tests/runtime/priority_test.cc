@@ -111,7 +111,7 @@ TEST(PriorityTest, PreemptionVictimizesLowestClassFirst)
     // requests cannot both hold a full footprint, so someone must
     // be preempted — and it must always be the Batch request, even
     // though it arrived first (class order overrides FCFS).
-    size_t per_request = pb.size() + 24 + rig.engine->treeBudget() + 2;
+    size_t per_request = rig.engine->kvTokensFor(pb.size() + 24);
     ServingConfig cfg;
     cfg.maxBatchSize = 2;
     cfg.kvBlockTokens = 8;

@@ -429,7 +429,20 @@ snapshotUnshardedFp32(std::stringstream &snapshot,
     live.writeSnapshot(snapshot);
 }
 
-TEST(RecoveryDeathTest, TpDegreeMismatchRefusesRecovery)
+// A regression that lets recover() past its shape checks would run
+// the rebuild on the thread pool, which a forked child lacks and
+// would hang on: re-execute the binary for each death statement so
+// such a regression fails fast.
+class RecoveryDeathTest : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    }
+};
+
+TEST_F(RecoveryDeathTest, TpDegreeMismatchRefusesRecovery)
 {
     // A snapshot taken at tp=1 must not silently resume on a tp=2
     // engine: the typed check names both degrees.
@@ -446,7 +459,7 @@ TEST(RecoveryDeathTest, TpDegreeMismatchRefusesRecovery)
                  "runs 2");
 }
 
-TEST(RecoveryDeathTest, SsmPrecisionMismatchRefusesRecovery)
+TEST_F(RecoveryDeathTest, SsmPrecisionMismatchRefusesRecovery)
 {
     // A snapshot taken with fp32 drafting must not silently resume
     // on an engine whose SSM runs int8.
@@ -632,8 +645,7 @@ TEST(RecoverySoakTest, CrashesUnderFaultLoadKeepEveryInvariant)
     ServingConfig cfg;
     cfg.maxBatchSize = 4;
     cfg.kvBlockTokens = 8;
-    size_t per_request =
-        6 + ecfg.maxNewTokens + engine.treeBudget() + 2;
+    size_t per_request = engine.kvTokensFor(6 + ecfg.maxNewTokens);
     KvBlockAllocator probe(1000, 8);
     cfg.kvPoolBlocks = probe.blocksFor(per_request) * 5 / 2;
     cfg.kvPolicy = KvReservationPolicy::OnDemand;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <tuple>
 
 namespace specinfer {
 namespace util {
@@ -200,6 +202,36 @@ TEST(RngTest, SplitMixAdvances)
     uint64_t a = splitmix64(state);
     uint64_t b = splitmix64(state);
     EXPECT_NE(a, b);
+}
+
+TEST(JitteredBackoffTest, MatchesEachCallSiteFormula)
+{
+    // The three formulas the one function replaced, written out:
+    // preemption re-admission (unit 1, cap 64), client reconnect
+    // (1 << min(k, 10), no cap) and supervisor restart (a base in
+    // milliseconds, capped). Each must give the same delay and
+    // leave the stream at the same cursor, draw for draw; k runs
+    // past every cap and clamp.
+    Rng old_rng(0x6a177e5ULL), new_rng(0x6a177e5ULL);
+    for (size_t k = 0; k <= 20; ++k) {
+        const uint64_t preempt =
+            std::min(uint64_t{1} << std::min<size_t>(k, 16),
+                     uint64_t{64});
+        const uint64_t client = uint64_t{1} << std::min<size_t>(k, 10);
+        const uint64_t restart =
+            std::min(uint64_t{100} << std::min<size_t>(k, 16),
+                     uint64_t{10000});
+        for (const auto &[base, unit, cap] :
+             {std::tuple{preempt, uint64_t{1}, uint64_t{64}},
+              std::tuple{client, uint64_t{1}, uint64_t{1024}},
+              std::tuple{restart, uint64_t{100}, uint64_t{10000}}}) {
+            const uint64_t expected =
+                base + old_rng.uniformInt(base / 2 + 1);
+            EXPECT_EQ(jitteredBackoff(new_rng, unit, k, cap), expected)
+                << "k=" << k << " unit=" << unit << " cap=" << cap;
+        }
+        EXPECT_TRUE(new_rng.state() == old_rng.state()) << "k=" << k;
+    }
 }
 
 } // namespace
